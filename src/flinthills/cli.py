@@ -121,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _sig(args, ctx) -> int:
-    return ctx.decimal_digits if args.full else DEFAULT_SIGNIFICANT_DIGITS
+def _sig(args, digits: int) -> int:
+    return digits if args.full else DEFAULT_SIGNIFICANT_DIGITS
 
 
 def _auto_digits(args, terms: int) -> int:
@@ -170,8 +170,7 @@ def _cmd_expand(args, out):
     if args.cache_write:
         cache_mod.write_entry(pq)
     rows = [{"k": i, "a": a} for i, a in enumerate(pq.terms)]
-    ctx = make_context(_auto_digits(args, args.terms))
-    out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+    out.write(emit_rows(rows, args.format, _sig(args, _auto_digits(args, args.terms))))
     return 0
 
 
@@ -179,8 +178,7 @@ def _cmd_convergents(args, out):
     pq = _quotients_for(args, args.terms, use_cache=args.cache_read)
     convs = contfrac.convergents(pq, args.terms)
     rows = [{"n": c.index + 1, "p": c.p, "q": c.q} for c in convs]
-    ctx = make_context(30)
-    out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+    out.write(emit_rows(rows, args.format, _sig(args, 30)))
     return 0
 
 
@@ -192,7 +190,7 @@ def _cmd_measure(args, out):
         {"n": m.index, "p": m.p, "q": m.q, "error": m.error, "mu_hat": m.mu_hat}
         for m in points
     ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
     return 0
 
 
@@ -216,13 +214,20 @@ def _cmd_audit(args, out):
         for r in report.rows
     ]
     ctx = make_context(args.digits or DEFAULT_DIGITS)
-    out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
     print(
         f"dirichlet_ok={report.all_dirichlet_ok} shifted_ok={report.all_shifted_ok} "
         f"hurwitz_count={report.hurwitz_count}/{len(report.rows)}",
         file=sys.stderr,
     )
     return 0
+
+
+def _decimal_arg(ctx, flag: str, text: str):
+    try:
+        return ctx.mpf(text)
+    except ValueError:
+        raise FlintHillsError(f"{flag} must be a number, got {text!r}") from None
 
 
 def _cmd_kernel(args, out):
@@ -243,12 +248,12 @@ def _cmd_kernel(args, out):
             }
             for r in report.rows
         ]
-        out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+        out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
         return 0
     if args.x is None or args.z is None:
         raise FlintHillsError("--x and --z are required for kernel evaluation")
-    x = int(args.x) if args.x.lstrip("+-").isdigit() else ctx.mpf(args.x)
-    z = ctx.mpf(args.z)
+    x = int(args.x) if args.x.lstrip("+-").isdigit() else _decimal_arg(ctx, "--x", args.x)
+    z = _decimal_arg(ctx, "--z", args.z)
     if args.type == "dirichlet":
         result = kernels.dirichlet_kernel(x, z, ctx)
     else:
@@ -265,7 +270,7 @@ def _cmd_kernel(args, out):
             "abs_bound": result.abs_bound,
         }
     ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
     return 0
 
 
@@ -297,7 +302,7 @@ def _cmd_shift(args, out):
             }
             for r in report.rows
         ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
     return 0
 
 
@@ -313,7 +318,7 @@ def _cmd_recip_sin(args, out):
         }
         for r in series.recip_sin_table(args.n_max, ctx)
     ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
     return 0
 
 
@@ -325,7 +330,7 @@ def _cmd_gamma_reflect(args, out):
             args.n_max, ctx, cross_check=not args.no_cross_check
         )
     ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
     return 0
 
 
@@ -340,11 +345,20 @@ def _cmd_series(args, out):
             raise FlintHillsError("no valid checkpoints in --points")
         pairs = series.flint_partial_sum_checkpoints(args.u, args.v, checkpoints, ctx)
         rows = [{"x": x, "partial_sum": value} for x, value in pairs]
-        out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+        out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
+        return 0
+    alpha = contfrac.constant_value(args.alpha, ctx) if family == "alpha_pi" else None
+    if args.report:
+        spec = series.SeriesSpec(family=family, u=args.u, v=args.v, alpha=alpha, limit=args.limit)
+        row = dict(vars(series.convergence_report(spec, ctx, measure=args.measure)))
+        row["relative_change"] = row.pop("last_decade_relative_change")
+        out.write(emit_rows([row], args.format, _sig(args, ctx.decimal_digits)))
         return 0
     if family == "flint":
         result = series.flint_partial_sum(args.u, args.v, args.limit, ctx)
     elif family == "lacunary":
+        if args.limit == 0:  # the library warns and returns the empty sum
+            raise FlintHillsError("x must be >= 1")
         count = 30
         convs = contfrac.constant_convergents("pi", count)
         while convs[-1].p <= args.limit:
@@ -353,7 +367,6 @@ def _cmd_series(args, out):
         numerators = [1] + [c.p for c in convs]
         result = series.lacunary_partial_sum(args.u, args.v, args.limit, numerators, ctx)
     elif family == "alpha_pi":
-        alpha = contfrac.constant_value(args.alpha, ctx)
         result = series.alpha_pi_partial_sum(args.u, args.v, alpha, args.limit, ctx)
     else:
         kind = "power" if family == "flat_power" else "scaled"
@@ -361,37 +374,20 @@ def _cmd_series(args, out):
         result = series.flat_hills_partial_sum(
             variant, args.u, args.v, args.limit, ctx, base=args.flat_base
         )
-    if args.report:
-        diag = series.convergence_report(result.spec, ctx, measure=args.measure)
-        rows = [
-            {
-                "family": diag.family,
-                "u": diag.u,
-                "v": diag.v,
-                "measure": diag.measure,
-                "exponent": diag.exponent,
-                "predicted_convergent": diag.predicted_convergent,
-                "lacunary_tail_bound": diag.lacunary_tail_bound,
-                "partial_sum": diag.partial_sum,
-                "half_sum": diag.half_sum,
-                "relative_change": diag.last_decade_relative_change,
-            }
-        ]
-    else:
-        largest_idx, largest = result.largest_term if result.largest_term else (None, None)
-        rows = [
-            {
-                "family": family,
-                "u": args.u,
-                "v": args.v,
-                "limit": result.x,
-                "value": result.value,
-                "largest_term_index": largest_idx,
-                "largest_term": largest,
-                "compensation_residual": result.compensation_residual,
-            }
-        ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+    largest_idx, largest = result.largest_term if result.largest_term else (None, None)
+    rows = [
+        {
+            "family": family,
+            "u": args.u,
+            "v": args.v,
+            "limit": result.x,
+            "value": result.value,
+            "largest_term_index": largest_idx,
+            "largest_term": largest,
+            "compensation_residual": result.compensation_residual,
+        }
+    ]
+    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
     return 0
 
 
@@ -409,7 +405,7 @@ def _cmd_stats(args, out):
             }
             for k, v in sorted(histogram.histogram.items(), key=lambda kv: (kv[0] == -1, kv[0]))
         ]
-        out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+        out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
         return 0
     gm10 = stats.running_geometric_mean(pq, min(10, args.terms))
     gm20 = stats.running_geometric_mean(pq, min(20, args.terms))
@@ -425,7 +421,7 @@ def _cmd_stats(args, out):
         {"statistic": "freq_1_plus_2", "value": histogram.freq_low},
         {"statistic": "gk_1_plus_2", "value": stats.gauss_kuzmin_p(1) + stats.gauss_kuzmin_p(2)},
     ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
     return 0
 
 
@@ -452,8 +448,7 @@ def _cmd_verify(args, out):
         {"fixture": f"index {idx}", "compared": expected, "mismatches": got, "passed": False}
         for idx, expected, got in report.mismatches
     ]
-    ctx = make_context(30)
-    out.write(emit_rows(rows, args.format, _sig(args, ctx)))
+    out.write(emit_rows(rows, args.format, _sig(args, 30)))
     return 0 if report.passed else 1
 
 

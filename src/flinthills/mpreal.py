@@ -236,17 +236,24 @@ def _check_finite(ctx: RealContext, value):
     return value
 
 
-def _sincos_from_scaled(m: int, scale_digits: int, ctx: RealContext):
-    """(sin, cos) of m/10**scale_digits reduced modulo pi at that scale."""
-    s = 10**scale_digits
-    p = pi_scaled(scale_digits)
-    q, r = _reduce_nearest(m, p)
+def _reduce_mod_pi(num: int, den: int, m: int, red: int, ctx: RealContext, want: str):
+    """sin, cos or (sin, cos) of pi*num/den + m, by exact reduction modulo pi.
+
+    The argument is scaled by 10**red, split as q*pi + r with |r| <= pi/2 at
+    that scale, and evaluated at r; a shift by pi negates sine and cosine
+    alike, so the values flip sign when q is odd.  want is "sin", "cos" or
+    "sincos".
+    """
+    s = 10**red
+    p = pi_scaled(red)
+    q, r = _reduce_nearest((p * num) // den + m * s, p)
     mp = ctx._mp
     x = mp.mpf(r) / mp.mpf(s)
-    sv, cv = mp.sin(x), mp.cos(x)
-    if q & 1:
-        sv, cv = -sv, -cv
-    return sv, cv
+    if want == "sincos":
+        cv, sv = mp.cos_sin(x)
+        return (-sv, -cv) if q & 1 else (sv, cv)
+    value = mp.sin(x) if want == "sin" else mp.cos(x)
+    return -value if q & 1 else value
 
 
 def sin_int(m: int, ctx: RealContext):
@@ -260,8 +267,7 @@ def sin_int(m: int, ctx: RealContext):
     if m == 0:
         return ctx._mp.mpf(0)
     red = ctx.effective_digits + 2 * decimal_length(m)
-    sv, _ = _sincos_from_scaled(m * 10**red, red, ctx)
-    return _check_finite(ctx, sv)
+    return _check_finite(ctx, _reduce_mod_pi(0, 1, m, red, ctx, "sin"))
 
 
 def cos_int(m: int, ctx: RealContext):
@@ -269,8 +275,7 @@ def cos_int(m: int, ctx: RealContext):
     if m == 0:
         return ctx._mp.mpf(1)
     red = ctx.effective_digits + 2 * decimal_length(m)
-    _, cv = _sincos_from_scaled(m * 10**red, red, ctx)
-    return _check_finite(ctx, cv)
+    return _check_finite(ctx, _reduce_mod_pi(0, 1, m, red, ctx, "cos"))
 
 
 def sincos_pi_rational_plus_int(num: int, den: int, m: int, ctx: RealContext):
@@ -282,16 +287,7 @@ def sincos_pi_rational_plus_int(num: int, den: int, m: int, ctx: RealContext):
     if den <= 0:
         raise DomainError("denominator must be positive")
     red = ctx.effective_digits + 2 * decimal_length(abs(num) // den + abs(m) + 1) + 2
-    s = 10**red
-    p = pi_scaled(red)
-    t = (p * num) // den + m * s
-    q, r = _reduce_nearest(t, p)
-    mp = ctx._mp
-    x = mp.mpf(r) / mp.mpf(s)
-    sv, cv = mp.sin(x), mp.cos(x)
-    if q & 1:
-        sv, cv = -sv, -cv
-    return sv, cv
+    return _reduce_mod_pi(num, den, m, red, ctx, "sincos")
 
 
 def sin_real(x, ctx: RealContext):

@@ -69,14 +69,7 @@ def emit_rows(rows: list[dict], kind: str, significant: int = DEFAULT_SIGNIFICAN
     if kind == "json":
         lines = []
         for row in rows:
-            parts = []
-            for k in keys:
-                v = row.get(k)
-                if isinstance(v, str):
-                    token = json.dumps(v)
-                else:
-                    token = _render(v, significant, json_mode=True)
-                parts.append(f"{json.dumps(k)}: {token}")
+            parts = [f"{json.dumps(k)}: {_render(row.get(k), significant, json_mode=True)}" for k in keys]
             lines.append("{" + ", ".join(parts) + "}")
         return "\n".join(lines) + "\n"
     # plain: space-aligned table

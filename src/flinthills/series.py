@@ -112,35 +112,54 @@ def _sin_power(mp, s, v):
     return mp.power(s, e)
 
 
-def _run_sum(mp, indices, term_fn, spec, x):
+def _run_sum(mp, indices, sine, spec, checkpoints=()):
+    """The summation loop: sum of 1/(n^u sine(n)^v) over ascending indices.
+
+    u and v come from the spec.  Returns the result and the (n, running value)
+    pairs at the indices listed in checkpoints.
+    """
+    u, v = spec.u, spec.v
+    if not (mp.isfinite(u) and mp.isfinite(v)):
+        raise DomainError("series exponents u, v must be finite")
     acc = _CompensatedSum(mp)
     largest = None
+    running = []
     for n in indices:
-        term = term_fn(n)
+        s = sine(n)
+        term = 1 / (_power(mp, n, u) * _sin_power(mp, s, v))
         acc.add(term)
         if largest is None or abs(term) > abs(largest[1]):
             largest = (n, term)
-    return PartialSumResult(
+        if n in checkpoints:
+            running.append((n, acc.value))
+    result = PartialSumResult(
         spec=spec,
-        x=x,
+        x=spec.limit,
         value=acc.value,
         largest_term=largest,
         compensation_residual=acc.residual,
     )
+    return result, running
+
+
+def _check_uv(u, v):
+    if not (float(u) > 0 and float(v) > 0):
+        raise DomainError("series exponents u, v must be positive")
+
+
+def _flint_sine(u, v, x: int, ctx: RealContext):
+    """Validate a Flint Hills sum to x; its sine is sin n by exact reduction."""
+    if x < 1:
+        raise DomainError("x must be >= 1")
+    _check_uv(u, v)
+    return lambda n: sin_int(n, ctx)
 
 
 def flint_partial_sum(u, v, x: int, ctx: RealContext) -> PartialSumResult:
     """P_x = sum_{n=1..x} 1/(n^u sin^v n), ascending, compensated."""
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    _check_uv(u, v)
-    mp = ctx._mp
+    sine = _flint_sine(u, v, x, ctx)
     spec = SeriesSpec(family="flint", u=u, v=v, limit=x)
-
-    def term(n):
-        return 1 / (_power(mp, n, u) * _sin_power(mp, sin_int(n, ctx), v))
-
-    return _run_sum(mp, range(1, x + 1), term, spec, x)
+    return _run_sum(ctx._mp, range(1, x + 1), sine, spec)[0]
 
 
 def flint_partial_sum_checkpoints(u, v, checkpoints, ctx: RealContext) -> list[tuple[int, object]]:
@@ -149,15 +168,8 @@ def flint_partial_sum_checkpoints(u, v, checkpoints, ctx: RealContext) -> list[t
     marks = sorted(set(int(c) for c in checkpoints))
     if not marks or marks[0] < 1:
         raise DomainError("checkpoints must be positive integers")
-    mp = ctx._mp
-    acc = _CompensatedSum(mp)
-    out = []
-    want = set(marks)
-    for n in range(1, marks[-1] + 1):
-        acc.add(1 / (_power(mp, n, u) * _sin_power(mp, sin_int(n, ctx), v)))
-        if n in want:
-            out.append((n, acc.value))
-    return out
+    spec = SeriesSpec(family="flint", u=u, v=v, limit=marks[-1])
+    return _run_sum(ctx._mp, range(1, marks[-1] + 1), lambda n: sin_int(n, ctx), spec, set(marks))[1]
 
 
 def lacunary_partial_sum(u, v, x: int, numerators, ctx: RealContext) -> PartialSumResult:
@@ -165,45 +177,32 @@ def lacunary_partial_sum(u, v, x: int, numerators, ctx: RealContext) -> PartialS
     if x < 0:
         raise DomainError("x must be >= 0")
     _check_uv(u, v)
-    mp = ctx._mp
-    spec = SeriesSpec(family="lacunary", u=u, v=v, limit=x)
     selected = [int(p) for p in numerators if int(p) <= x]
     if not selected:
         warnings.warn("no record indices at or below the limit; sum is empty", stacklevel=2)
-        return PartialSumResult(
-            spec=spec, x=x, value=mp.mpf(0), largest_term=None, compensation_residual=mp.mpf(0)
-        )
-
-    def term(p):
-        return 1 / (_power(mp, p, u) * _sin_power(mp, sin_int(p, ctx), v))
-
-    return _run_sum(mp, selected, term, spec, x)
+    spec = SeriesSpec(family="lacunary", u=u, v=v, limit=x)
+    return _run_sum(ctx._mp, selected, lambda p: sin_int(p, ctx), spec)[0]
 
 
-def alpha_pi_partial_sum(u, v, alpha, x: int, ctx: RealContext) -> PartialSumResult:
-    """sum_{n=1..x} 1/(n^u sin^v(alpha pi n)).
+def _alpha_pi_sine(u, v, alpha, x: int, ctx: RealContext):
+    """Validate an alpha-pi sum to x; its sine is n -> sin(alpha pi n).
 
     alpha n is split into integer and fractional parts in exact scaled
     arithmetic before the sine is taken, so pi never multiplies a large n at
-    working precision.  A term whose sine falls below 10^(5-decimal_digits)
-    cannot be resolved and raises.
+    working precision.  A sine below 10^(5-decimal_digits) cannot be resolved
+    and raises.
     """
     if x < 0:
         raise DomainError("x must be >= 0")
     _check_uv(u, v)
     mp = ctx._mp
-    spec = SeriesSpec(family="alpha_pi", u=u, v=v, alpha=alpha, limit=x)
-    if x == 0:
-        return PartialSumResult(
-            spec=spec, x=x, value=mp.mpf(0), largest_term=None, compensation_residual=mp.mpf(0)
-        )
     eff = ctx.effective_digits
     scale = 10**eff
     alpha_scaled = to_scaled(mp.mpf(alpha), eff)
     pi_val = pi_const(ctx)
     floor_limit = mp.mpf(10) ** (5 - ctx.decimal_digits)
 
-    def term(n):
+    def sine(n):
         whole, frac = divmod(alpha_scaled * n, scale)
         s = mp.sin(pi_val * (mp.mpf(frac) / scale))
         if whole & 1:
@@ -212,14 +211,16 @@ def alpha_pi_partial_sum(u, v, alpha, x: int, ctx: RealContext) -> PartialSumRes
             raise PrecisionInsufficientError(
                 f"sin(alpha pi n) below resolution at n={n}; raise precision"
             )
-        return 1 / (_power(mp, n, u) * _sin_power(mp, s, v))
+        return s
 
-    return _run_sum(mp, range(1, x + 1), term, spec, x)
+    return sine
 
 
-def _check_uv(u, v):
-    if not (float(u) > 0 and float(v) > 0):
-        raise DomainError("series exponents u, v must be positive")
+def alpha_pi_partial_sum(u, v, alpha, x: int, ctx: RealContext) -> PartialSumResult:
+    """sum_{n=1..x} 1/(n^u sin^v(alpha pi n)); see _alpha_pi_sine."""
+    sine = _alpha_pi_sine(u, v, alpha, x, ctx)
+    spec = SeriesSpec(family="alpha_pi", u=u, v=v, alpha=alpha, limit=x)
+    return _run_sum(ctx._mp, range(1, x + 1), sine, spec)[0]
 
 
 def _pi_power_scaled(n: int, scale_digits: int) -> tuple[int, int]:
@@ -253,16 +254,9 @@ def flat_hills_partial_sum(variant: str, a, b, x: int, ctx: RealContext, base: i
         raise DomainError("base must be >= 2")
     mp = ctx._mp
     eff = ctx.effective_digits
-    spec = SeriesSpec(family="flat_power" if "power" in variant else "flat_scaled",
-                      u=a, v=b, flat_base=None if "power" in variant else base,
-                      variant=variant, limit=x)
-    if x == 0:
-        return PartialSumResult(
-            spec=spec, x=x, value=mp.mpf(0), largest_term=None, compensation_residual=mp.mpf(0)
-        )
     singular_tol = 10 ** (ctx.decimal_digits // 2)
 
-    def argument(n):
+    def sine(n):
         if variant.endswith("_power"):
             scaled, s = _pi_power_scaled(n, eff)
         else:
@@ -277,12 +271,12 @@ def flat_hills_partial_sum(variant: str, a, b, x: int, ctx: RealContext, base: i
             raise SingularArgumentError(
                 f"sine argument at n={n} is within tolerance of an integer"
             )
-        return mp.mpf(frac) / s
+        return mp.sin(mp.mpf(frac) / s)
 
-    def term(n):
-        return 1 / (_power(mp, n, a) * _sin_power(mp, mp.sin(argument(n)), b))
-
-    return _run_sum(mp, range(1, x + 1), term, spec, x)
+    spec = SeriesSpec(family="flat_power" if "power" in variant else "flat_scaled",
+                      u=a, v=b, flat_base=None if "power" in variant else base,
+                      variant=variant, limit=x)
+    return _run_sum(mp, range(1, x + 1), sine, spec)[0]
 
 
 def convergence_report(spec: SeriesSpec, ctx: RealContext, measure=None) -> ConvergenceDiagnostics:
@@ -293,21 +287,23 @@ def convergence_report(spec: SeriesSpec, ctx: RealContext, measure=None) -> Conv
     irrationality measure of alpha.  The geometric bound on the lacunary part
     follows from p_n >= phi^n/sqrt5.  No limit is claimed: the report records
     the relative change between the partial sums at the limit and at half the
-    limit.
+    limit, both read from one summation pass.
     """
     mp = ctx._mp
     if spec.family == "flint":
+        sine = _flint_sine(spec.u, spec.v, spec.limit, ctx)
         exponent = mp.mpf(spec.u) - mp.mpf(spec.v)
-        full = flint_partial_sum(spec.u, spec.v, spec.limit, ctx)
-        half = flint_partial_sum(spec.u, spec.v, max(1, spec.limit // 2), ctx)
     elif spec.family == "alpha_pi":
+        sine = _alpha_pi_sine(spec.u, spec.v, spec.alpha, spec.limit, ctx)
         if measure is None:
             raise DomainError("alpha_pi convergence prediction needs the irrationality measure of alpha")
         exponent = mp.mpf(spec.u) - (mp.mpf(measure) - 1) * mp.mpf(spec.v)
-        full = alpha_pi_partial_sum(spec.u, spec.v, spec.alpha, spec.limit, ctx)
-        half = alpha_pi_partial_sum(spec.u, spec.v, spec.alpha, max(1, spec.limit // 2), ctx)
     else:
         raise DomainError(f"convergence report supports flint and alpha_pi, not {spec.family!r}")
+    half = max(1, spec.limit // 2)  # past the limit when the limit is 0
+    _, running = _run_sum(mp, range(1, max(spec.limit, half) + 1), sine, spec, {half, spec.limit})
+    at = dict(running)
+    full, half_sum = at.get(spec.limit, mp.mpf(0)), at[half]
     predicted = bool(exponent > 0)
     phi = (1 + mp.sqrt(5)) / 2
     if predicted:
@@ -315,7 +311,7 @@ def convergence_report(spec: SeriesSpec, ctx: RealContext, measure=None) -> Conv
         tail = mp.mpf(5) ** (exponent / 2) * r / (1 - r)
     else:
         tail = mp.inf
-    change = abs(full.value - half.value) / abs(full.value) if full.value != 0 else mp.mpf(0)
+    change = abs(full - half_sum) / abs(full) if full != 0 else mp.mpf(0)
     return ConvergenceDiagnostics(
         family=spec.family,
         u=spec.u,
@@ -324,8 +320,8 @@ def convergence_report(spec: SeriesSpec, ctx: RealContext, measure=None) -> Conv
         exponent=exponent,
         predicted_convergent=predicted,
         lacunary_tail_bound=tail,
-        partial_sum=full.value,
-        half_sum=half.value,
+        partial_sum=full,
+        half_sum=half_sum,
         last_decade_relative_change=change,
     )
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -36,6 +37,30 @@ class TestExitCodes:
         code, out = run_cli(["convergents", "--terms", "3", "--format", "csv"])
         assert code == 0
         assert out.splitlines() == ["n,p,q", "1,3,1", "2,22,7", "3,333,106"]
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["series", "flint", "--u", "inf", "--v", "2", "--limit", "3"], "finite"),
+            (["series", "flint", "--v", "inf", "--limit", "3"], "finite"),
+            (["series", "alpha-pi", "--u", "inf", "--limit", "3"], "finite"),
+            (["series", "flat-power", "--u", "inf", "--limit", "3"], "finite"),
+            (["series", "flint", "--u", "0", "--limit", "3"], "series exponents u, v must be positive"),
+            (["kernel", "--type", "dirichlet", "--x", "abc", "--z", "1"], "--x"),
+            (["kernel", "--type", "dirichlet", "--x", "2", "--z", "abc"], "--z"),
+            (["kernel", "--type", "fejer", "--x", "2.5x", "--z", "1"], "--x"),
+            (["series", "lacunary", "--limit", "0"], "x must be >= 1"),
+        ],
+    )
+    def test_one_error_line(self, argv, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
 class TestFormats:

@@ -58,6 +58,17 @@ class TestFlintPartialSum:
             fh.flint_partial_sum(0, 2, 5, ctx50)
         with pytest.raises(fh.DomainError):
             fh.flint_partial_sum(3, 1.5, 4, ctx50)  # sin(4) < 0, non-integer power
+        inf = float("inf")
+        with pytest.raises(fh.DomainError, match="finite"):
+            fh.flint_partial_sum(inf, 2, 3, ctx50)
+        with pytest.raises(fh.DomainError, match="finite"):
+            fh.flint_partial_sum(3, inf, 3, ctx50)
+        with pytest.raises(fh.DomainError, match="finite"):
+            fh.alpha_pi_partial_sum(inf, 2, fh.constant_value("sqrt2", ctx50), 3, ctx50)
+        with pytest.raises(fh.DomainError, match="finite"):
+            fh.flat_hills_partial_sum("nearest_power", inf, 1, 3, ctx50)
+        with pytest.raises(fh.DomainError, match="^series exponents u, v must be positive$"):
+            fh.flint_partial_sum(float("nan"), 2, 3, ctx50)
 
 
 class TestLacunaryPartialSum:
