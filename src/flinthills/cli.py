@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", choices=contfrac.KNOWN_CONSTANTS, default="pi")
     p.add_argument("--n-max", type=int, default=25)
     p.add_argument("--start", type=int, default=1)
-    _add_common(p)
+    _add_common(p, digits_default=DEFAULT_DIGITS)
 
     p = sub.add_parser("kernel", help="Dirichlet/Fejer kernel values, or the cf-shift audit")
     p.add_argument("--type", choices=("dirichlet", "fejer", "cf"), required=True)
@@ -121,13 +121,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _sig(args, digits: int) -> int:
-    return digits if args.full else DEFAULT_SIGNIFICANT_DIGITS
+def _rows(records, **rename) -> list[dict]:
+    """One row per result record: its fields in declaration order, some renamed."""
+    return [{rename.get(k, k): v for k, v in vars(r).items()} for r in records]
+
+
+def _emit(out, args, rows: list[dict], digits: int) -> int:
+    """Write the rows (all `digits` under --full) and return the success code."""
+    out.write(emit_rows(rows, args.format, digits if args.full else DEFAULT_SIGNIFICANT_DIGITS))
+    return 0
 
 
 def _auto_digits(args, terms: int) -> int:
     if args.digits is not None:
-        return args.digits  # below-minimum values fail in make_context with the real message
+        return args.digits
     return max(DEFAULT_DIGITS, contfrac.digits_for_terms(terms))
 
 
@@ -170,51 +177,25 @@ def _cmd_expand(args, out):
     if args.cache_write:
         cache_mod.write_entry(pq)
     rows = [{"k": i, "a": a} for i, a in enumerate(pq.terms)]
-    out.write(emit_rows(rows, args.format, _sig(args, _auto_digits(args, args.terms))))
-    return 0
+    return _emit(out, args, rows, _auto_digits(args, args.terms))
 
 
 def _cmd_convergents(args, out):
     pq = _quotients_for(args, args.terms, use_cache=args.cache_read)
     convs = contfrac.convergents(pq, args.terms)
     rows = [{"n": c.index + 1, "p": c.p, "q": c.q} for c in convs]
-    out.write(emit_rows(rows, args.format, _sig(args, 30)))
-    return 0
+    return _emit(out, args, rows, 30)
 
 
 def _cmd_measure(args, out):
-    digits = _auto_digits(args, args.terms)
-    ctx = make_context(max(digits, contfrac.digits_for_terms(args.terms)))
+    ctx = make_context(max(args.digits, contfrac.digits_for_terms(args.terms)))
     points = diophantine.measure_table(args.constant, args.terms, ctx)
-    rows = [
-        {"n": m.index, "p": m.p, "q": m.q, "error": m.error, "mu_hat": m.mu_hat}
-        for m in points
-    ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
-    return 0
+    return _emit(out, args, _rows(points, index="n"), ctx.decimal_digits)
 
 
 def _cmd_audit(args, out):
     report = diophantine.inequality_audit(args.constant, (args.start, args.n_max))
-    rows = [
-        {
-            "n": r.index,
-            "p": r.p,
-            "q": r.q,
-            "error": r.error,
-            "dirichlet_lower": r.dirichlet_lower,
-            "dirichlet_upper": r.dirichlet_upper,
-            "dirichlet_ok": r.dirichlet_ok,
-            "hurwitz_ok": r.hurwitz_ok,
-            "shifted_value": r.shifted_value,
-            "shifted_lower": r.shifted_lower,
-            "shifted_upper": r.shifted_upper,
-            "shifted_ok": r.shifted_ok,
-        }
-        for r in report.rows
-    ]
-    ctx = make_context(args.digits or DEFAULT_DIGITS)
-    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
+    _emit(out, args, _rows(report.rows, index="n"), args.digits)
     print(
         f"dirichlet_ok={report.all_dirichlet_ok} shifted_ok={report.all_shifted_ok} "
         f"hurwitz_count={report.hurwitz_count}/{len(report.rows)}",
@@ -231,25 +212,12 @@ def _decimal_arg(ctx, flag: str, text: str):
 
 
 def _cmd_kernel(args, out):
-    ctx = make_context(args.digits or DEFAULT_DIGITS)
+    ctx = make_context(args.digits)
     if args.type == "cf":
         if args.d is None:
             raise FlintHillsError("--d is required for --type cf")
         report = kernels.cf_technique_check(args.d, args.m_max, ctx)
-        rows = [
-            {
-                "m": r.index,
-                "u": r.u,
-                "v": r.v,
-                "value": r.value,
-                "distance": r.distance,
-                "within_bound": r.within_bound,
-                "abs_sin": r.abs_sin,
-            }
-            for r in report.rows
-        ]
-        out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
-        return 0
+        return _emit(out, args, _rows(report.rows, index="m"), args.digits)
     if args.x is None or args.z is None:
         raise FlintHillsError("--x and --z are required for kernel evaluation")
     x = int(args.x) if args.x.lstrip("+-").isdigit() else _decimal_arg(ctx, "--x", args.x)
@@ -260,82 +228,45 @@ def _cmd_kernel(args, out):
         if not isinstance(x, int):
             raise FlintHillsError("the Fejer kernel needs an integer --x")
         result = kernels.fejer_kernel(x, z, ctx)
-    rows = [
-        {
-            "kernel": args.type,
-            "x": result.x_param,
-            "z": result.z,
-            "closed_form": result.closed_form,
-            "sum_form": result.sum_form,
-            "abs_bound": result.abs_bound,
-        }
-    ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
-    return 0
+    rows = [{"kernel": args.type} | row for row in _rows([result], x_param="x")]
+    return _emit(out, args, rows, args.digits)
 
 
 def _cmd_shift(args, out):
-    ctx = make_context(args.digits or DEFAULT_DIGITS)
-    if args.technique == "real":
-        report = kernels.recip_sin_bound_real_technique(args.n_max, ctx)
-        rows = [
-            {
-                "n": r.index,
-                "p": r.p,
-                "v2": r.v2,
-                "w_odd": r.w % 2 == 1,
-                "shift_residual": max(r.sin_residual, r.cos_residual),
-                "recip_sin": r.recip_sin,
-                "ratio": r.ratio,
-            }
-            for r in report.rows
-        ]
-    else:
+    ctx = make_context(args.digits)
+    if args.technique == "integer":
         report = kernels.recip_sin_bound_integer_technique(args.n_max, ctx)
-        rows = [
-            {
-                "n": r.index,
-                "p": r.p,
-                "floor_x": r.floor_x,
-                "argument": r.argument,
-                "abs_sin": r.abs_sin,
-            }
-            for r in report.rows
-        ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
-    return 0
-
-
-def _cmd_recip_sin(args, out):
-    ctx = make_context(args.digits or DEFAULT_DIGITS)
+        return _emit(out, args, _rows(report.rows, index="n"), args.digits)
+    report = kernels.recip_sin_bound_real_technique(args.n_max, ctx)
     rows = [
         {
             "n": r.index,
             "p": r.p,
+            "v2": r.v2,
+            "w_odd": r.w % 2 == 1,
+            "shift_residual": max(r.sin_residual, r.cos_residual),
             "recip_sin": r.recip_sin,
-            "recip_inv_sin": r.recip_inv_sin,
             "ratio": r.ratio,
         }
-        for r in series.recip_sin_table(args.n_max, ctx)
+        for r in report.rows
     ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
-    return 0
+    return _emit(out, args, rows, args.digits)
+
+
+def _cmd_recip_sin(args, out):
+    table = series.recip_sin_table(args.n_max, make_context(args.digits))
+    return _emit(out, args, _rows(table, index="n"), args.digits)
 
 
 def _cmd_gamma_reflect(args, out):
-    ctx = make_context(args.digits or DEFAULT_DIGITS)
-    rows = [
-        {"n": r.index, "p": r.p, "reflection": r.reflection, "scaled_ratio": r.scaled_ratio}
-        for r in series.gamma_reflection_table(
-            args.n_max, ctx, cross_check=not args.no_cross_check
-        )
-    ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
-    return 0
+    table = series.gamma_reflection_table(
+        args.n_max, make_context(args.digits), cross_check=not args.no_cross_check
+    )
+    return _emit(out, args, _rows(table, index="n"), args.digits)
 
 
 def _cmd_series(args, out):
-    ctx = make_context(args.digits or DEFAULT_DIGITS)
+    ctx = make_context(args.digits)
     family = args.family.replace("-", "_")
     if args.points is not None:
         if family != "flint":
@@ -345,15 +276,13 @@ def _cmd_series(args, out):
             raise FlintHillsError("no valid checkpoints in --points")
         pairs = series.flint_partial_sum_checkpoints(args.u, args.v, checkpoints, ctx)
         rows = [{"x": x, "partial_sum": value} for x, value in pairs]
-        out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
-        return 0
+        return _emit(out, args, rows, args.digits)
     alpha = contfrac.constant_value(args.alpha, ctx) if family == "alpha_pi" else None
     if args.report:
         spec = series.SeriesSpec(family=family, u=args.u, v=args.v, alpha=alpha, limit=args.limit)
-        row = dict(vars(series.convergence_report(spec, ctx, measure=args.measure)))
-        row["relative_change"] = row.pop("last_decade_relative_change")
-        out.write(emit_rows([row], args.format, _sig(args, ctx.decimal_digits)))
-        return 0
+        diagnostics = series.convergence_report(spec, ctx, measure=args.measure)
+        rows = _rows([diagnostics], last_decade_relative_change="relative_change")
+        return _emit(out, args, rows, args.digits)
     if family == "flint":
         result = series.flint_partial_sum(args.u, args.v, args.limit, ctx)
     elif family == "lacunary":
@@ -387,8 +316,7 @@ def _cmd_series(args, out):
             "compensation_residual": result.compensation_residual,
         }
     ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
-    return 0
+    return _emit(out, args, rows, args.digits)
 
 
 def _cmd_stats(args, out):
@@ -405,8 +333,7 @@ def _cmd_stats(args, out):
             }
             for k, v in sorted(histogram.histogram.items(), key=lambda kv: (kv[0] == -1, kv[0]))
         ]
-        out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
-        return 0
+        return _emit(out, args, rows, ctx.decimal_digits)
     gm10 = stats.running_geometric_mean(pq, min(10, args.terms))
     gm20 = stats.running_geometric_mean(pq, min(20, args.terms))
     gmn = stats.running_geometric_mean(pq, args.terms)
@@ -421,8 +348,7 @@ def _cmd_stats(args, out):
         {"statistic": "freq_1_plus_2", "value": histogram.freq_low},
         {"statistic": "gk_1_plus_2", "value": stats.gauss_kuzmin_p(1) + stats.gauss_kuzmin_p(2)},
     ]
-    out.write(emit_rows(rows, args.format, _sig(args, ctx.decimal_digits)))
-    return 0
+    return _emit(out, args, rows, ctx.decimal_digits)
 
 
 def _cmd_verify(args, out):
@@ -448,7 +374,7 @@ def _cmd_verify(args, out):
         {"fixture": f"index {idx}", "compared": expected, "mismatches": got, "passed": False}
         for idx, expected, got in report.mismatches
     ]
-    out.write(emit_rows(rows, args.format, _sig(args, 30)))
+    _emit(out, args, rows, 30)
     return 0 if report.passed else 1
 
 
@@ -476,6 +402,8 @@ def run(argv, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.digits is not None:
+            make_context(args.digits)  # rejects a too-low --digits before any work
         return _COMMANDS[args.command](args, out)
     except FlintHillsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,7 +75,8 @@ def make_context(decimal_digits: int, guard_digits: int = DEFAULT_GUARD_DIGITS) 
 # pi in scaled-integer form
 # ---------------------------------------------------------------------------
 
-_pi_cache: dict[int, int] = {}
+_pi_cache: dict[int, int] = {}  # {digits: value} for the largest scale computed
+_pi_derived = (0, 0, 0)  # (cached scale, scale, value) of the last scale derived from it
 _pi_lock = threading.Lock()
 _pi_reference_digits: str | None = None
 
@@ -149,18 +150,19 @@ def pi_scaled(digits: int) -> int:
     """floor(pi * 10**digits) to within one unit, cross-checked and cached.
 
     Two independent series must agree and the leading digits must match the
-    bundled reference before the value is released.
+    bundled reference before the value is released.  Only the largest scale
+    computed so far is kept; smaller scales are derived from it, and the last
+    derivation is remembered because callers repeat one scale per term.
     """
+    global _pi_derived
     if digits < 1:
         raise DomainError("scale must be positive")
     with _pi_lock:
-        if digits in _pi_cache:
-            return _pi_cache[digits]
         for have, val in _pi_cache.items():
-            if have > digits:
-                derived = val // 10 ** (have - digits)
-                _pi_cache[digits] = derived
-                return derived
+            if have >= digits:
+                if _pi_derived[:2] != (have, digits):
+                    _pi_derived = (have, digits, val // 10 ** (have - digits))
+                return _pi_derived[2]
         a = _pi_machin_scaled(digits)
         b = _pi_chudnovsky_scaled(digits)
         if abs(a - b) > 2:
@@ -175,6 +177,7 @@ def pi_scaled(digits: int) -> int:
             raise CrossCheckError(
                 f"pi computation does not match the bundled reference at {digits} digits"
             )
+        _pi_cache.clear()
         _pi_cache[digits] = a
         return a
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 
 import mpmath
 
@@ -21,27 +20,13 @@ FORMATS = ("plain", "csv", "json")
 DEFAULT_SIGNIFICANT_DIGITS = 6
 
 
-@dataclass(frozen=True)
-class OutputFormat:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in FORMATS:
-            raise DomainError(f"unknown output format {self.kind!r}; known: {', '.join(FORMATS)}")
-
-
-def format_number(value, significant: int = DEFAULT_SIGNIFICANT_DIGITS) -> str:
-    """Render a numeric value at the given significant digits.
+def _render(value, significant: int, json_mode: bool) -> str:
+    """Render one cell.
 
     Integers print exactly; floats and arbitrary-precision reals go through
-    mpmath's shortest-form printer, which is deterministic for a given input.
+    mpmath's shortest-form printer at the given significant digits, which is
+    deterministic for a given input.
     """
-    if isinstance(value, bool) or isinstance(value, int):
-        return str(value)
-    return mpmath.nstr(value, significant)
-
-
-def _render(value, significant: int, json_mode: bool) -> str:
     if value is None:
         return "null" if json_mode else ""
     if isinstance(value, bool):
@@ -50,12 +35,13 @@ def _render(value, significant: int, json_mode: bool) -> str:
         return str(value)
     if isinstance(value, str):
         return json.dumps(value) if json_mode else value
-    return format_number(value, significant)
+    return mpmath.nstr(value, significant)
 
 
 def emit_rows(rows: list[dict], kind: str, significant: int = DEFAULT_SIGNIFICANT_DIGITS) -> str:
     """Serialize dict rows (shared key order) in the requested format."""
-    OutputFormat(kind)
+    if kind not in FORMATS:
+        raise DomainError(f"unknown output format {kind!r}; known: {', '.join(FORMATS)}")
     if not rows:
         return ""
     keys = list(rows[0].keys())

@@ -12,6 +12,7 @@ are reproducible bit-for-bit at a given precision regardless of platform.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -401,12 +402,19 @@ def _log_gamma_euler(z: float, terms: int, log_factorial: float, log_terms: floa
 _EULER_TERMS = 400_000
 
 
+@functools.cache
+def _log_factorial(n: int) -> float:
+    """log(n!) summed term by term in ascending order (double precision)."""
+    total = 0.0
+    for k in range(2, n + 1):
+        total += math.log(k)
+    return total
+
+
 def _gamma_pair_euler(z: float) -> float:
     """Gamma(1-z) Gamma(z) by the convergent-product route (double precision)."""
     n = _EULER_TERMS
-    log_factorial = 0.0
-    for k in range(2, n + 1):
-        log_factorial += math.log(k)
+    log_factorial = _log_factorial(n)
     log_terms = math.log(n)
     s1, l1 = _log_gamma_euler(1 - z, n, log_factorial, log_terms)
     s2, l2 = _log_gamma_euler(z, n, log_factorial, log_terms)

@@ -52,6 +52,12 @@ class TestHostileInputs:
             (["kernel", "--type", "dirichlet", "--x", "2", "--z", "abc"], "--z"),
             (["kernel", "--type", "fejer", "--x", "2.5x", "--z", "1"], "--x"),
             (["series", "lacunary", "--limit", "0"], "x must be >= 1"),
+            (["kernel", "--type", "dirichlet", "--x", "3", "--z", "1", "--digits", "0", "--full"],
+             "precision too low: 0 digits requested, minimum is 30"),
+            (["recip-sin", "--n-max", "3", "--digits", "0"], "precision too low"),
+            (["series", "flint", "--limit", "3", "--digits", "0"], "precision too low"),
+            (["audit", "--n-max", "3", "--digits", "0"], "precision too low"),
+            (["measure", "--terms", "5", "--digits", "10"], "precision too low"),
         ],
     )
     def test_one_error_line(self, argv, message, capsys):

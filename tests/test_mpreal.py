@@ -57,6 +57,17 @@ class TestPi:
         small = pi_scaled(120)
         assert abs(full // 10**380 - small) <= 1
 
+    def test_cache_keeps_only_the_largest_scale(self, monkeypatch):
+        import flinthills.mpreal as mpreal
+
+        monkeypatch.setattr(mpreal, "_pi_cache", {})
+        big = pi_scaled(1200)
+        small = pi_scaled(300)
+        assert len(mpreal._pi_cache) == 1
+        ref = bundled_pi_digits()
+        assert str(big)[:1000] == ref
+        assert str(small)[:300] == ref[:300]
+
     def test_series_disagreement_raises(self, monkeypatch):
         import flinthills.mpreal as mpreal
 

@@ -1,19 +1,22 @@
-"""Byte-for-byte pins of CLI output for the series and shift commands.
+"""Byte-for-byte pins of CLI output, covering every subcommand.
 
 `data/pinned_stdout.json` maps each command line below to the stdout it
-produced when recorded; the summation and reduction code may be restructured,
-but these bytes may not change.  The library checks pin exact (==) equality
-between single-pass and separately computed partial sums.
+produced when recorded; the library and the CLI may be restructured, but these
+bytes may not change.  `verify` prints the absolute path of the bundled
+fixture, so its pins hold a placeholder in place of the fixtures directory.
+The library checks pin exact (==) equality between single-pass and separately
+computed partial sums.
 """
 
 import io
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import flinthills as fh
-from flinthills.cli import run
+from flinthills.cli import _COMMANDS, run
 
 COMMANDS = [
     "series flint --u 3 --v 2 --limit 400",
@@ -30,13 +33,42 @@ COMMANDS = [
     "series flat-scaled --u 2 --v 1 --limit 15 --arg frac --flat-base 7",
     "shift --n-max 12 --technique real",
     "shift --n-max 12 --technique integer",
+    "measure --terms 20 --digits 70",
+    "audit --n-max 40",
+    "kernel --type dirichlet --x 17 --z 0.7",
+    "kernel --type dirichlet --x 2.5 --z 1.3",
+    "kernel --type fejer --x 9 --z 2",
+    "kernel --type cf --d 1559 --m-max 10",
+    "recip-sin --n-max 20",
+    "gamma-reflect --n-max 12",
+    "stats --terms 1500",
+    "stats --terms 1500 --histogram",
+    "convergents --terms 40",
+    "expand --constant sqrt2 --terms 50",
+    "verify --sequence numerators --terms 30",
 ]
+
+FIXTURES_PLACEHOLDER = "<fixtures>"
 
 VARIANTS = [["--format", "plain"], ["--format", "csv"], ["--format", "json"], ["--format", "json", "--full"]]
 
 
 def command_lines():
     return [" ".join([cmd, *extra]) for cmd in COMMANDS for extra in VARIANTS]
+
+
+def portable(stdout: str) -> str:
+    """Replace the bundled-fixtures directory with a placeholder.
+
+    The plain table pads its first column to the path's width, so the header
+    loses the padding the placeholder no longer needs.
+    """
+    fixtures = str(resources.files("flinthills").joinpath("fixtures"))
+    stdout = stdout.replace(fixtures, FIXTURES_PLACEHOLDER)
+    shift = len(fixtures) - len(FIXTURES_PLACEHOLDER)
+    if stdout.startswith("fixture "):
+        stdout = stdout.replace("fixture" + " " * shift, "fixture", 1)
+    return stdout
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +80,11 @@ def pinned():
 def test_stdout_matches_pin(line, pinned):
     buf = io.StringIO()
     assert run(line.split(), out=buf) == 0
-    assert buf.getvalue() == pinned[line]
+    assert portable(buf.getvalue()) == pinned[line]
+
+
+def test_every_subcommand_is_pinned():
+    assert set(_COMMANDS) <= {cmd.split()[0] for cmd in COMMANDS}
 
 
 def test_report_half_sum_is_the_half_limit_sum(ctx50):
