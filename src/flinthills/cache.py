@@ -3,8 +3,8 @@
 One text document per constant: a short header (constant, precision, term
 count, checksum) followed by the terms.  The checksum covers the canonical
 space-joined term string.  Entries computed at lower precision than requested
-are ignored rather than trusted.  Single-writer, last-write-wins; concurrent
-writers are not coordinated.
+are ignored rather than trusted.  Entries are replaced atomically; concurrent
+writers are not coordinated beyond that, and the last rename wins.
 """
 
 from __future__ import annotations
@@ -62,7 +62,14 @@ def write_entry(pq: PartialQuotients, directory=None) -> Path:
         f"checksum: {_digest(payload)}",
         payload,
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    # write beside the entry and rename over it, so a crash mid-write leaves
+    # the previous entry (or none), never a torn one
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

@@ -151,15 +151,11 @@ def _resolve_fixture(name_or_path, default_name: str) -> Path:
 
 
 def _quotients_for(args, terms: int, use_cache: bool = False):
-    digits = _auto_digits(args, terms)
     if use_cache:
         cached = cache_mod.load_quotients(args.constant, terms, min_precision=0)
         if cached is not None:
             return cached
-    ctx = make_context(digits)
-    pq = contfrac.expand(
-        contfrac.constant_value(args.constant, ctx), terms, ctx, constant_id=args.constant
-    )
+    pq = contfrac.expand_constant(args.constant, terms, args.digits)
     if len(pq.terms) < terms:
         raise FlintHillsError(
             f"certified only {len(pq.terms)} of {terms} terms; raise --digits"

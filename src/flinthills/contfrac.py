@@ -23,6 +23,9 @@ from .mpreal import RealContext, make_context, pi_const, to_scaled
 DIGITS_PER_TERM = 1.03
 DIGITS_MARGIN = 50
 
+# denominators wider than this many bits are expanded in batches
+_BATCH_BITS = 2000
+
 KNOWN_CONSTANTS = ("pi", "sqrt2", "sqrt3", "sqrt5", "golden", "cbrt2")
 
 
@@ -117,22 +120,7 @@ def expand(x, max_terms: int, ctx: RealContext, constant_id: str = "x") -> Parti
     if lo_n < 0:
         raise DomainError("expand requires x > 0 resolved away from zero")
     terms: list[int] = []
-    exhausted = True
-    while len(terms) < max_terms:
-        if lo_d <= 0 or hi_d <= 0:
-            break
-        a_lo = lo_n // lo_d
-        a_hi = hi_n // hi_d
-        if a_lo != a_hi:
-            break
-        a = int(a_lo)
-        if terms and a < 1:
-            raise CrossCheckError("non-positive partial quotient past a_0")
-        terms.append(a)
-        # x -> 1/(x - a) maps [lo, hi] to [1/(hi - a), 1/(lo - a)]
-        lo_n, lo_d, hi_n, hi_d = hi_d, hi_n - a * hi_d, lo_d, lo_n - a * lo_d
-    else:
-        exhausted = False
+    exhausted = _expand_interval(lo_n, lo_d, hi_n, hi_d, max_terms, terms)
     return PartialQuotients(
         constant_id=constant_id,
         terms=tuple(terms),
@@ -141,10 +129,84 @@ def expand(x, max_terms: int, ctx: RealContext, constant_id: str = "x") -> Parti
     )
 
 
+def _expand_interval(lo_n: int, lo_d: int, hi_n: int, hi_d: int, max_terms: int, out: list[int]) -> bool:
+    """Append the quotients both ends of [lo_n/lo_d, hi_n/hi_d] agree on.
+
+    Stops at ``max_terms`` entries in ``out``; returns True when precision
+    ran out first.  While both denominators are wide, the low half of every
+    endpoint is dropped (rounding outward), the quotients of that wider
+    interval are found recursively, and the exact endpoints are then advanced
+    past them all at once.  Those quotients are certified for the exact
+    interval too: x -> 1/(x - a) keeps an inner interval inside the image of
+    an outer one, so if both outer ends share a floor, both inner ends do.
+    Every stopping decision is taken on exact endpoints.
+    """
+    while len(out) < max_terms:
+        if lo_d <= 0 or hi_d <= 0:
+            return True
+        start = len(out)
+        bits = min(lo_d.bit_length(), hi_d.bit_length())
+        if bits > _BATCH_BITS and lo_n > 0:
+            s = bits // 2
+            _expand_interval(lo_n >> s, (lo_d >> s) + 1, (hi_n >> s) + 1, hi_d >> s, max_terms, out)
+        if len(out) > start:
+            # x = (p y + p1) / (q y + q1) over the batch; invert it exactly, and
+            # an odd batch swaps which end comes out lower
+            p, p1, q, q1 = _fold(out, start, len(out))
+            if (len(out) - start) & 1:
+                lo_n, lo_d, hi_n, hi_d = (p1 * hi_d - q1 * hi_n, q * hi_n - p * hi_d,
+                                          p1 * lo_d - q1 * lo_n, q * lo_n - p * lo_d)
+            else:
+                lo_n, lo_d, hi_n, hi_d = (q1 * lo_n - p1 * lo_d, p * lo_d - q * lo_n,
+                                          q1 * hi_n - p1 * hi_d, p * hi_d - q * hi_n)
+            continue
+        a = lo_n // lo_d
+        if a != hi_n // hi_d:
+            return True
+        if out and a < 1:
+            raise CrossCheckError("non-positive partial quotient past a_0")
+        out.append(a)
+        # x -> 1/(x - a) maps [lo, hi] to [1/(hi - a), 1/(lo - a)]
+        lo_n, lo_d, hi_n, hi_d = hi_d, hi_n - a * hi_d, lo_d, lo_n - a * lo_d
+    return False
+
+
+def _fold(terms: list[int], i: int, j: int) -> tuple[int, int, int, int]:
+    """(p, p1, q, q1) with [[p, p1], [q, q1]] the product of [[a, 1], [1, 0]] over terms[i:j].
+
+    Short runs use the convergent recurrence; longer ones split in halves so
+    the big products are balanced.
+    """
+    if j - i <= 32:
+        p, p1, q, q1 = 1, 0, 0, 1
+        for a in terms[i:j]:
+            p, p1 = a * p + p1, p
+            q, q1 = a * q + q1, q
+        return p, p1, q, q1
+    m = (i + j) // 2
+    p, p1, q, q1 = _fold(terms, i, m)
+    r, r1, t, t1 = _fold(terms, m, j)
+    return p * r + p1 * t, p * r1 + p1 * t1, q * r + q1 * t, q * r1 + q1 * t1
+
+
 def expand_constant(constant_id: str, max_terms: int, digits: int | None = None) -> PartialQuotients:
-    """Expand a named constant, auto-sizing precision for the term count."""
-    if digits is None:
+    """Expand a named constant at ``digits``, or at a precision auto-sized for the term count.
+
+    Auto-sized precision follows a typical constant's quotient rate; when it
+    falls short, the expansion is retried once at the precision the observed
+    rate calls for.  An explicit ``digits`` is never retried.
+    """
+    auto = digits is None
+    if auto:
         digits = digits_for_terms(max_terms)
+    pq = _expand_at(constant_id, max_terms, digits)
+    if auto and len(pq.terms) < max_terms:
+        got = max(len(pq.terms), 1)
+        pq = _expand_at(constant_id, max_terms, math.ceil(digits * max_terms / got) + DIGITS_MARGIN)
+    return pq
+
+
+def _expand_at(constant_id: str, max_terms: int, digits: int) -> PartialQuotients:
     ctx = make_context(max(digits, 30))
     return expand(constant_value(constant_id, ctx), max_terms, ctx, constant_id=constant_id)
 
@@ -160,9 +222,6 @@ def cached_expansion(constant_id: str, min_terms: int) -> PartialQuotients:
         if have is not None and len(have.terms) >= min_terms:
             return have
         pq = expand_constant(constant_id, min_terms)
-        if len(pq.terms) < min_terms:
-            # Lochs budget fell short (atypical quotients); retry with slack
-            pq = expand_constant(constant_id, min_terms, digits=digits_for_terms(min_terms) + 64)
         if len(pq.terms) < min_terms:
             raise InsufficientTermsError(
                 f"could not certify {min_terms} terms of {constant_id}; got {len(pq.terms)}"

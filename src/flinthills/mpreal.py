@@ -94,19 +94,37 @@ def _reference_pi_digits() -> str:
     return _pi_reference_digits
 
 
+def _arctan_split(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """(P, Q, T) for the ratios 2j / ((2j + 1) c), a <= j < b, by binary splitting.
+
+    P and Q are the products of the numerators and of the denominators, and
+    T/Q = sum_{k=a}^{b-1} prod_{j=a}^{k} 2j / ((2j + 1) c).
+    """
+    if b - a == 1:
+        return 2 * a, (2 * a + 1) * c, 2 * a
+    m = (a + b) // 2
+    p1, q1, t1 = _arctan_split(a, m, c)
+    p2, q2, t2 = _arctan_split(m, b, c)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
 def _arctan_inv_scaled(x: int, one: int) -> int:
-    """arctan(1/x) * one by the alternating Gregory series, floor arithmetic."""
-    term = one // x
-    total = term
-    x2 = x * x
-    n = 3
-    sign = -1
-    while term:
-        term //= x2
-        total += sign * (term // n)
-        n += 2
-        sign = -sign
-    return total
+    """arctan(1/x) * one to within two units, by Euler's series.
+
+    arctan(1/x) = (x/c) sum_k prod_{j<=k} 2j / ((2j + 1) c) with c = 1 + x^2;
+    every term is positive and the ratio is below 1/c.  The sum is taken by
+    binary splitting to 2 + log_c(one) terms, so the dropped tail is below
+    one unit.  Q and T are then cut to 64 bits beyond ``one`` before the
+    division: that moves T/Q by at most 1/Q < 2**-63 / one, and the result
+    by less than 2**-63 units.  The final floor costs one more unit.
+    """
+    c = 1 + x * x
+    terms = 2 + math.ceil(math.log(one, c))
+    _, q, t = _arctan_split(1, terms, c)
+    shift = max(0, q.bit_length() - one.bit_length() - 64)
+    q >>= shift
+    t >>= shift
+    return one * x * (q + t) // (c * q)
 
 
 def _pi_machin_scaled(digits: int) -> int:

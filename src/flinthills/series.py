@@ -274,6 +274,11 @@ def flat_hills_partial_sum(variant: str, a, b, x: int, ctx: RealContext, base: i
             )
         return mp.sin(mp.mpf(frac) / s)
 
+    if x >= 1 and not variant.endswith("_power"):
+        # each term asks for pi at a larger scale than the last; computing the
+        # last term's scale first lets every other term derive from it
+        pi_scaled(eff + decimal_length(base**x) + 4)
+
     spec = SeriesSpec(family="flat_power" if "power" in variant else "flat_scaled",
                       u=a, v=b, flat_base=None if "power" in variant else base,
                       variant=variant, limit=x)

@@ -230,6 +230,19 @@ class TestVerifyCommand:
 
 
 class TestExpandAndCache:
+    def test_auto_digits_retry_past_lochs_budget(self):
+        # cbrt2 certifies only 31898 terms at digits_for_terms(32000)
+        code, out = run_cli(["expand", "--constant", "cbrt2", "--terms", "32000",
+                             "--format", "csv"])
+        assert code == 0
+        assert len(out.splitlines()) == 32001
+
+    def test_explicit_digits_are_not_retried(self, capsys):
+        code, _ = run_cli(["expand", "--constant", "cbrt2", "--terms", "32000",
+                           "--digits", "33010"])
+        assert code == 1
+        assert "certified only 31898 of 32000" in capsys.readouterr().err
+
     def test_expand_lists_quotients(self):
         code, out = run_cli(["expand", "--terms", "5", "--format", "csv"])
         assert code == 0
@@ -252,6 +265,28 @@ class TestExpandAndCache:
                              "--format", "csv"])
         assert code == 0
         assert len(out.splitlines()) == 31  # recomputed past the cached depth
+
+    def test_interrupted_write_keeps_previous_entry(self, tmp_path, monkeypatch):
+        import pathlib
+
+        from flinthills import cache
+        from flinthills.contfrac import expand_constant
+
+        monkeypatch.setenv("FLINTHILLS_CACHE_DIR", str(tmp_path))
+        run_cli(["expand", "--terms", "10", "--cache-write"])
+        before = cache.read_entry("pi")
+
+        def torn_write(self, text, encoding=None):
+            with open(self, "w", encoding=encoding) as f:
+                f.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            cache.write_entry(expand_constant("pi", 20), tmp_path)
+        monkeypatch.undo()
+        assert cache.read_entry("pi", tmp_path) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pi.cfcache"]
 
     def test_checksum_failure_detected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FLINTHILLS_CACHE_DIR", str(tmp_path))

@@ -68,6 +68,23 @@ class TestPi:
         assert str(big)[:1000] == ref
         assert str(small)[:300] == ref[:300]
 
+    def test_machin_is_the_exact_floor_to_998_digits(self):
+        from flinthills.mpreal import _pi_machin_scaled
+
+        ref = bundled_pi_digits()
+        for d in range(1, 999):
+            assert _pi_machin_scaled(d) == int(ref[: d + 1]), d
+
+    @pytest.mark.parametrize("digits", [5000, 20000, 40000])
+    def test_machin_is_the_exact_floor_deep(self, digits):
+        from mpmath.ctx_mp import MPContext
+
+        from flinthills.mpreal import _pi_machin_scaled
+
+        mp = MPContext()
+        mp.dps = digits + 50
+        assert _pi_machin_scaled(digits) == int(mp.floor(mp.pi * mp.mpf(10) ** digits))
+
     def test_series_disagreement_raises(self, monkeypatch):
         import flinthills.mpreal as mpreal
 

@@ -163,6 +163,16 @@ class TestFlatHills:
         oracle = 1 / math.sin(f1) + 1 / (4 * math.sin(f2))
         assert rel_err(r.value, oracle) < 1e-11
 
+    def test_scaled_computes_pi_once(self, ctx50, monkeypatch):
+        import flinthills.mpreal as mpreal
+
+        calls = []
+        machin = mpreal._pi_machin_scaled
+        monkeypatch.setattr(mpreal, "_pi_machin_scaled", lambda d: calls.append(d) or machin(d))
+        monkeypatch.setattr(mpreal, "_pi_cache", {})
+        fh.flat_hills_partial_sum("nearest_scaled", 2, 1, 200, ctx50)
+        assert len(calls) == 1
+
     def test_validation(self, ctx50):
         with pytest.raises(fh.DomainError):
             fh.flat_hills_partial_sum("sideways", 2, 1, 3, ctx50)
