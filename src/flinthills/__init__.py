@@ -63,13 +63,9 @@ from .series import (
     ConvergenceDiagnostics,
     PartialSumResult,
     SeriesSpec,
-    alpha_pi_partial_sum,
     convergence_report,
-    flat_hills_partial_sum,
-    flint_partial_sum,
-    flint_partial_sum_checkpoints,
     gamma_reflection_table,
-    lacunary_partial_sum,
+    partial_sum,
     recip_sin_table,
 )
 from .stats import (

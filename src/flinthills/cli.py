@@ -261,44 +261,34 @@ def _cmd_gamma_reflect(args, out):
     return _emit(out, args, _rows(table, index="n"), args.digits)
 
 
+def _checkpoints(points: str) -> list[int]:
+    try:
+        checkpoints = sorted({int(t) for t in points.split(",") if t.strip()})
+    except ValueError:
+        raise FlintHillsError(f"--points must be comma-separated integers, got {points!r}") from None
+    if not checkpoints:
+        raise FlintHillsError("no valid checkpoints in --points")
+    return checkpoints
+
+
 def _cmd_series(args, out):
     ctx = make_context(args.digits)
     family = args.family.replace("-", "_")
-    if args.points is not None:
-        if family != "flint":
-            raise FlintHillsError("--points supports the flint family")
-        checkpoints = sorted({int(t) for t in args.points.split(",") if t.strip()})
-        if not checkpoints:
-            raise FlintHillsError("no valid checkpoints in --points")
-        pairs = series.flint_partial_sum_checkpoints(args.u, args.v, checkpoints, ctx)
-        rows = [{"x": x, "partial_sum": value} for x, value in pairs]
-        return _emit(out, args, rows, args.digits)
+    checkpoints = [] if args.points is None else _checkpoints(args.points)
     alpha = contfrac.constant_value(args.alpha, ctx) if family == "alpha_pi" else None
-    if args.report:
-        spec = series.SeriesSpec(family=family, u=args.u, v=args.v, alpha=alpha, limit=args.limit)
-        diagnostics = series.convergence_report(spec, ctx, measure=args.measure)
-        rows = _rows([diagnostics], last_decade_relative_change="relative_change")
-        return _emit(out, args, rows, args.digits)
-    if family == "flint":
-        result = series.flint_partial_sum(args.u, args.v, args.limit, ctx)
-    elif family == "lacunary":
-        if args.limit == 0:  # the library warns and returns the empty sum
+    spec = series.SeriesSpec(family=family, u=args.u, v=args.v, alpha=alpha, flat_base=args.flat_base,
+                             variant=args.arg, limit=checkpoints[-1] if checkpoints else args.limit)
+    if not checkpoints:
+        if args.report:
+            diagnostics = series.convergence_report(spec, ctx, measure=args.measure)
+            rows = _rows([diagnostics], last_decade_relative_change="relative_change")
+            return _emit(out, args, rows, args.digits)
+        if family == "lacunary" and args.limit == 0:  # the library warns and returns the empty sum
             raise FlintHillsError("x must be >= 1")
-        count = 30
-        convs = contfrac.constant_convergents("pi", count)
-        while convs[-1].p <= args.limit:
-            count += 30
-            convs = contfrac.constant_convergents("pi", count)
-        numerators = [1] + [c.p for c in convs]
-        result = series.lacunary_partial_sum(args.u, args.v, args.limit, numerators, ctx)
-    elif family == "alpha_pi":
-        result = series.alpha_pi_partial_sum(args.u, args.v, alpha, args.limit, ctx)
-    else:
-        kind = "power" if family == "flat_power" else "scaled"
-        variant = f"{args.arg}_{kind}"
-        result = series.flat_hills_partial_sum(
-            variant, args.u, args.v, args.limit, ctx, base=args.flat_base
-        )
+    result = series.partial_sum(spec, ctx, checkpoints)
+    if checkpoints:
+        rows = [{"x": x, "partial_sum": value} for x, value in result.checkpoints]
+        return _emit(out, args, rows, args.digits)
     largest_idx, largest = result.largest_term if result.largest_term else (None, None)
     rows = [
         {

@@ -12,7 +12,6 @@ are reproducible bit-for-bit at a given precision regardless of platform.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from .errors import (
 from .mpreal import RealContext, decimal_length, pi_const, pi_scaled, sin_int, to_scaled
 
 FAMILIES = ("flint", "lacunary", "alpha_pi", "flat_power", "flat_scaled")
-FLAT_VARIANTS = ("nearest_power", "nearest_scaled", "frac_power", "frac_scaled")
+FLAT_VARIANTS = ("nearest", "frac")
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,8 @@ class SeriesSpec:
     u: object
     v: object
     alpha: object | None = None
-    flat_base: int | None = None
-    variant: str | None = None
+    flat_base: int = 10
+    variant: str | None = None  # flat families: "nearest" or "frac"
     limit: int = 0
 
 
@@ -48,6 +47,7 @@ class PartialSumResult:
     value: object
     largest_term: tuple[int, object] | None
     compensation_residual: object
+    checkpoints: tuple[tuple[int, object], ...]  # (c, sum over indices <= c)
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,10 @@ def _sin_power(mp, s, v):
 def _run_sum(mp, indices, sine, spec, checkpoints=()):
     """The summation loop: sum of 1/(n^u sine(n)^v) over ascending indices.
 
-    u and v come from the spec.  Returns the result and the (n, running value)
-    pairs at the indices listed in checkpoints.
+    u and v come from the spec.  checkpoints, ascending, each get the running
+    sum over the indices at or below them, so a checkpoint between two sparse
+    indices is exact too.  The result covers the limit or the last checkpoint,
+    whichever is larger.
     """
     u, v = spec.u, spec.v
     if not (mp.isfinite(u) and mp.isfinite(v)):
@@ -126,21 +128,22 @@ def _run_sum(mp, indices, sine, spec, checkpoints=()):
     largest = None
     running = []
     for n in indices:
+        while len(running) < len(checkpoints) and checkpoints[len(running)] < n:
+            running.append((checkpoints[len(running)], acc.value))
         s = sine(n)
         term = 1 / (_power(mp, n, u) * _sin_power(mp, s, v))
         acc.add(term)
         if largest is None or abs(term) > abs(largest[1]):
             largest = (n, term)
-        if n in checkpoints:
-            running.append((n, acc.value))
-    result = PartialSumResult(
+    running += [(c, acc.value) for c in checkpoints[len(running):]]
+    return PartialSumResult(
         spec=spec,
-        x=spec.limit,
+        x=max([spec.limit, *checkpoints]),
         value=acc.value,
         largest_term=largest,
         compensation_residual=acc.residual,
+        checkpoints=tuple(running),
     )
-    return result, running
 
 
 def _check_uv(u, v):
@@ -148,54 +151,24 @@ def _check_uv(u, v):
         raise DomainError("series exponents u, v must be positive")
 
 
-def _flint_sine(u, v, x: int, ctx: RealContext):
-    """Validate a Flint Hills sum to x; its sine is sin n by exact reduction."""
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    _check_uv(u, v)
-    return lambda n: sin_int(n, ctx)
+def _record_indices(x: int) -> list[int]:
+    """The record indices of 1/|sin n| up to x: 1, then pi's convergent numerators."""
+    count = 30
+    convs = constant_convergents("pi", count)
+    while convs[-1].p <= x:
+        count += 30
+        convs = constant_convergents("pi", count)
+    return [p for p in [1] + [c.p for c in convs] if p <= x]
 
 
-def flint_partial_sum(u, v, x: int, ctx: RealContext) -> PartialSumResult:
-    """P_x = sum_{n=1..x} 1/(n^u sin^v n), ascending, compensated."""
-    sine = _flint_sine(u, v, x, ctx)
-    spec = SeriesSpec(family="flint", u=u, v=v, limit=x)
-    return _run_sum(ctx._mp, range(1, x + 1), sine, spec)[0]
-
-
-def flint_partial_sum_checkpoints(u, v, checkpoints, ctx: RealContext) -> list[tuple[int, object]]:
-    """(x, P_x) pairs at the given checkpoints, one ascending compensated pass."""
-    _check_uv(u, v)
-    marks = sorted(set(int(c) for c in checkpoints))
-    if not marks or marks[0] < 1:
-        raise DomainError("checkpoints must be positive integers")
-    spec = SeriesSpec(family="flint", u=u, v=v, limit=marks[-1])
-    return _run_sum(ctx._mp, range(1, marks[-1] + 1), lambda n: sin_int(n, ctx), spec, set(marks))[1]
-
-
-def lacunary_partial_sum(u, v, x: int, numerators, ctx: RealContext) -> PartialSumResult:
-    """Q_x: the same sum restricted to the supplied record indices <= x."""
-    if x < 0:
-        raise DomainError("x must be >= 0")
-    _check_uv(u, v)
-    selected = [int(p) for p in numerators if int(p) <= x]
-    if not selected:
-        warnings.warn("no record indices at or below the limit; sum is empty", stacklevel=2)
-    spec = SeriesSpec(family="lacunary", u=u, v=v, limit=x)
-    return _run_sum(ctx._mp, selected, lambda p: sin_int(p, ctx), spec)[0]
-
-
-def _alpha_pi_sine(u, v, alpha, x: int, ctx: RealContext):
-    """Validate an alpha-pi sum to x; its sine is n -> sin(alpha pi n).
+def _alpha_pi_sine(alpha, ctx: RealContext):
+    """n -> sin(alpha pi n).
 
     alpha n is split into integer and fractional parts in exact scaled
     arithmetic before the sine is taken, so pi never multiplies a large n at
     working precision.  A sine below 10^(5-decimal_digits) cannot be resolved
     and raises.
     """
-    if x < 0:
-        raise DomainError("x must be >= 0")
-    _check_uv(u, v)
     mp = ctx._mp
     eff = ctx.effective_digits
     scale = 10**eff
@@ -217,13 +190,6 @@ def _alpha_pi_sine(u, v, alpha, x: int, ctx: RealContext):
     return sine
 
 
-def alpha_pi_partial_sum(u, v, alpha, x: int, ctx: RealContext) -> PartialSumResult:
-    """sum_{n=1..x} 1/(n^u sin^v(alpha pi n)); see _alpha_pi_sine."""
-    sine = _alpha_pi_sine(u, v, alpha, x, ctx)
-    spec = SeriesSpec(family="alpha_pi", u=u, v=v, alpha=alpha, limit=x)
-    return _run_sum(ctx._mp, range(1, x + 1), sine, spec)[0]
-
-
 def _pi_power_scaled(n: int, scale_digits: int) -> tuple[int, int]:
     """(floor(pi^n * 10^k), 10^k) with k sized so the fractional part of pi^n
     survives; error grows by at most one unit per multiplication."""
@@ -236,29 +202,20 @@ def _pi_power_scaled(n: int, scale_digits: int) -> tuple[int, int]:
     return acc, s
 
 
-def flat_hills_partial_sum(variant: str, a, b, x: int, ctx: RealContext, base: int = 10) -> PartialSumResult:
-    """Flat Hills partial sum: argument ||pi^n||, ||pi b^n||, {pi^n} or {pi b^n}.
+def _flat_sine(spec: SeriesSpec, end: int, ctx: RealContext):
+    """n -> sin of ||pi^n||, ||pi b^n||, {pi^n} or {pi b^n}.
 
     Each pi^n (or pi b^n) is carried at enough digits that its fractional part
     is exact to working precision before the distance or fractional part is
     taken.  A term whose argument collapses onto an integer raises.
     """
-    if variant not in FLAT_VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}; known: {', '.join(FLAT_VARIANTS)}")
-    if not float(a) > 1:
-        raise DomainError("flat-hills exponent a must exceed 1")
-    if float(b) == 0:
-        raise DomainError("flat-hills exponent b must be nonzero")
-    if x < 0:
-        raise DomainError("x must be >= 0")
-    if base < 2:
-        raise DomainError("base must be >= 2")
+    power, nearest, base = spec.family == "flat_power", spec.variant == "nearest", spec.flat_base
     mp = ctx._mp
     eff = ctx.effective_digits
     singular_tol = 10 ** (ctx.decimal_digits // 2)
 
     def sine(n):
-        if variant.endswith("_power"):
+        if power:
             scaled, s = _pi_power_scaled(n, eff)
         else:
             mult = base**n
@@ -266,23 +223,72 @@ def flat_hills_partial_sum(variant: str, a, b, x: int, ctx: RealContext, base: i
             s = 10**red
             scaled = pi_scaled(red) * mult
         frac = scaled % s
-        if variant.startswith("nearest"):
+        if nearest:
             frac = min(frac, s - frac)
-        if frac < s // singular_tol or (variant.startswith("frac") and s - frac < s // singular_tol):
+        if frac < s // singular_tol or (not nearest and s - frac < s // singular_tol):
             raise SingularArgumentError(
                 f"sine argument at n={n} is within tolerance of an integer"
             )
         return mp.sin(mp.mpf(frac) / s)
 
-    if x >= 1 and not variant.endswith("_power"):
+    if end >= 1 and not power:
         # each term asks for pi at a larger scale than the last; computing the
         # last term's scale first lets every other term derive from it
-        pi_scaled(eff + decimal_length(base**x) + 4)
+        pi_scaled(eff + decimal_length(base**end) + 4)
+    return sine
 
-    spec = SeriesSpec(family="flat_power" if "power" in variant else "flat_scaled",
-                      u=a, v=b, flat_base=None if "power" in variant else base,
-                      variant=variant, limit=x)
-    return _run_sum(mp, range(1, x + 1), sine, spec)[0]
+
+def _terms(spec: SeriesSpec, ctx: RealContext, end: int):
+    """Validate the spec; return its index stream up to end and its sine."""
+    x = spec.limit
+    if spec.family == "flint":
+        if x < 1:
+            raise DomainError("x must be >= 1")
+        _check_uv(spec.u, spec.v)
+        return range(1, end + 1), lambda n: sin_int(n, ctx)
+    if spec.family == "lacunary":
+        if x < 0:
+            raise DomainError("x must be >= 0")
+        _check_uv(spec.u, spec.v)
+        indices = _record_indices(end)
+        if not indices:
+            warnings.warn("no record indices at or below the limit; sum is empty", stacklevel=3)
+        return indices, lambda n: sin_int(n, ctx)
+    if spec.family == "alpha_pi":
+        if x < 0:
+            raise DomainError("x must be >= 0")
+        _check_uv(spec.u, spec.v)
+        return range(1, end + 1), _alpha_pi_sine(spec.alpha, ctx)
+    if spec.family in ("flat_power", "flat_scaled"):
+        if spec.variant not in FLAT_VARIANTS:
+            raise DomainError(f"unknown variant {spec.variant!r}; known: {', '.join(FLAT_VARIANTS)}")
+        if not float(spec.u) > 1:
+            raise DomainError("flat-hills exponent a must exceed 1")
+        if float(spec.v) == 0:
+            raise DomainError("flat-hills exponent b must be nonzero")
+        if x < 0:
+            raise DomainError("x must be >= 0")
+        if spec.flat_base < 2:
+            raise DomainError("base must be >= 2")
+        return range(1, end + 1), _flat_sine(spec, end, ctx)
+    raise DomainError(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
+
+
+def partial_sum(spec: SeriesSpec, ctx: RealContext, checkpoints=()) -> PartialSumResult:
+    """Sum 1/(n^u s(n)^v), ascending and compensated, over the family's indices.
+
+    flint sums sin n over n = 1..x; lacunary the same over the record indices
+    of 1/|sin n| (1 and pi's convergent numerators) up to x; alpha_pi sums
+    sin(alpha pi n); flat_power and flat_scaled take the sine of ||pi^n|| or
+    ||pi b^n|| (variant "nearest") or of the fractional part (variant "frac"),
+    with u = a and v = b.  The result carries (c, running sum) for each
+    checkpoint c, and a checkpoint past the limit extends the sum to it.
+    """
+    marks = sorted({int(c) for c in checkpoints})
+    if marks and marks[0] < 1:
+        raise DomainError("checkpoints must be positive integers")
+    indices, sine = _terms(spec, ctx, max([spec.limit, *marks]))
+    return _run_sum(ctx._mp, indices, sine, spec, marks)
 
 
 def convergence_report(spec: SeriesSpec, ctx: RealContext, measure=None) -> ConvergenceDiagnostics:
@@ -293,23 +299,21 @@ def convergence_report(spec: SeriesSpec, ctx: RealContext, measure=None) -> Conv
     irrationality measure of alpha.  The geometric bound on the lacunary part
     follows from p_n >= phi^n/sqrt5.  No limit is claimed: the report records
     the relative change between the partial sums at the limit and at half the
-    limit, both read from one summation pass.
+    limit, both checkpoints of one summation pass.
     """
     mp = ctx._mp
-    if spec.family == "flint":
-        sine = _flint_sine(spec.u, spec.v, spec.limit, ctx)
-        exponent = mp.mpf(spec.u) - mp.mpf(spec.v)
-    elif spec.family == "alpha_pi":
-        sine = _alpha_pi_sine(spec.u, spec.v, spec.alpha, spec.limit, ctx)
-        if measure is None:
-            raise DomainError("alpha_pi convergence prediction needs the irrationality measure of alpha")
-        exponent = mp.mpf(spec.u) - (mp.mpf(measure) - 1) * mp.mpf(spec.v)
-    else:
+    if spec.family not in ("flint", "alpha_pi"):
         raise DomainError(f"convergence report supports flint and alpha_pi, not {spec.family!r}")
     half = max(1, spec.limit // 2)  # past the limit when the limit is 0
-    _, running = _run_sum(mp, range(1, max(spec.limit, half) + 1), sine, spec, {half, spec.limit})
-    at = dict(running)
-    full, half_sum = at.get(spec.limit, mp.mpf(0)), at[half]
+    indices, sine = _terms(spec, ctx, max(spec.limit, half))
+    if spec.family == "flint":
+        exponent = mp.mpf(spec.u) - mp.mpf(spec.v)
+    elif measure is None:
+        raise DomainError("alpha_pi convergence prediction needs the irrationality measure of alpha")
+    else:
+        exponent = mp.mpf(spec.u) - (mp.mpf(measure) - 1) * mp.mpf(spec.v)
+    at = dict(_run_sum(mp, indices, sine, spec, sorted({half, spec.limit})).checkpoints)
+    full, half_sum = at[spec.limit], at[half]
     predicted = bool(exponent > 0)
     phi = (1 + mp.sqrt(5)) / 2
     if predicted:
@@ -373,57 +377,27 @@ class GammaReflectionRow:
     scaled_ratio: object  # pi^2/(p sin p)
 
 
-def _log_gamma_euler(z: float, terms: int, log_factorial: float, log_terms: float) -> tuple[int, float]:
-    """(sign, log|Gamma(z)|) by the convergent product n! n^z / (z...(z+n)),
-    argument-shifted into (0, 1); pure double-precision, independent of any
-    library gamma."""
+_EULER_TERMS = 400_000
+
+
+def _gamma_pair_euler(z: float) -> float:
+    """Gamma(1-z) Gamma(z) by Euler's convergent products, in double precision.
+
+    With z = k + w, 0 < w < 1, the n-term products for Gamma(w) and
+    Gamma(1-w) combine into n/(n+1-w) / (w prod_{i=1..n} (1 - w^2/i^2)): the
+    n!^2 cancels and the argument shifts by k multiply to (-1)^k.  Independent
+    of any library gamma.
+    """
     k = math.floor(z)
     w = z - k
     if w == 0.0:
         raise DomainError("gamma pole")
-    # product relating Gamma(z) to Gamma(w): Gamma(w + k) = Gamma(w) * prod
-    sign = 1
-    shift_log = 0.0
-    if k > 0:
-        for j in range(k):
-            f = w + j
-            shift_log += math.log(abs(f))
-    elif k < 0:
-        for j in range(-k):
-            f = z + j
-            if f < 0:
-                sign = -sign
-            shift_log -= math.log(abs(f))
-    # Euler product for Gamma(w), w in (0,1): all factors positive
-    n = terms
-    gw = log_factorial + w * log_terms
-    acc = 0.0
-    for i in range(n + 1):
-        acc += math.log(w + i)
-    gw -= acc
-    return sign, gw + shift_log
-
-
-_EULER_TERMS = 400_000
-
-
-@functools.cache
-def _log_factorial(n: int) -> float:
-    """log(n!) summed term by term in ascending order (double precision)."""
-    total = 0.0
-    for k in range(2, n + 1):
-        total += math.log(k)
-    return total
-
-
-def _gamma_pair_euler(z: float) -> float:
-    """Gamma(1-z) Gamma(z) by the convergent-product route (double precision)."""
     n = _EULER_TERMS
-    log_factorial = _log_factorial(n)
-    log_terms = math.log(n)
-    s1, l1 = _log_gamma_euler(1 - z, n, log_factorial, log_terms)
-    s2, l2 = _log_gamma_euler(z, n, log_factorial, log_terms)
-    return s1 * s2 * math.exp(l1 + l2)
+    w2 = w * w
+    product = 1.0
+    for i in range(1, n + 1):
+        product *= 1 - w2 / (i * i)
+    return (-1) ** k * n / (n + 1 - w) / (w * product)
 
 
 def gamma_reflection_table(n_max: int, ctx: RealContext, cross_check: bool = True) -> list[GammaReflectionRow]:

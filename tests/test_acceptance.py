@@ -103,7 +103,8 @@ def test_criterion_4_flint_hills_partial_sums():
     targets = {1: 1.41228293, 3: 3.42323343, 22: 4.754112, 355: 29.405625, 500: 29.405964}
     t0 = time.perf_counter()
     ctx = fh.make_context(50)
-    pairs = fh.flint_partial_sum_checkpoints(3, 2, sorted(targets), ctx)
+    spec = fh.SeriesSpec(family="flint", u=3, v=2, limit=max(targets))
+    pairs = fh.partial_sum(spec, ctx, targets).checkpoints
     elapsed = time.perf_counter() - t0
     ok = all(abs(float(value) - targets[x]) < 1e-6 for x, value in pairs)
     ok &= elapsed < 10.0

@@ -52,6 +52,10 @@ class TestHostileInputs:
             (["kernel", "--type", "dirichlet", "--x", "2", "--z", "abc"], "--z"),
             (["kernel", "--type", "fejer", "--x", "2.5x", "--z", "1"], "--x"),
             (["series", "lacunary", "--limit", "0"], "x must be >= 1"),
+            (["series", "flint", "--limit", "5", "--points", "abc"],
+             "--points must be comma-separated integers, got 'abc'"),
+            (["series", "flint", "--limit", "5", "--points", "1e3"],
+             "--points must be comma-separated integers, got '1e3'"),
             (["kernel", "--type", "dirichlet", "--x", "3", "--z", "1", "--digits", "0", "--full"],
              "precision too low: 0 digits requested, minimum is 30"),
             (["recip-sin", "--n-max", "3", "--digits", "0"], "precision too low"),
@@ -147,6 +151,12 @@ class TestSeriesCommand:
                              "--limit", "1", "--format", "json", "--full"])
         assert code == 0
         assert abs(json.loads(out)["value"] - 2.475016898983283) < 1e-11
+
+    def test_points_for_a_sparse_family(self):
+        code, out = run_cli(["series", "lacunary", "--limit", "1000",
+                             "--points", "10,400,1000", "--format", "csv"])
+        assert code == 0
+        assert [row["x"] for row in csv.DictReader(io.StringIO(out))] == ["10", "400", "1000"]
 
     def test_convergence_report(self):
         code, out = run_cli(["series", "flint", "--u", "3", "--v", "2",

@@ -10,6 +10,7 @@ computed partial sums.
 
 import io
 import json
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -90,10 +91,27 @@ def test_every_subcommand_is_pinned():
 def test_report_half_sum_is_the_half_limit_sum(ctx50):
     spec = fh.SeriesSpec(family="flint", u=3, v=2, limit=301)
     diag = fh.convergence_report(spec, ctx50)
-    assert diag.half_sum == fh.flint_partial_sum(3, 2, 150, ctx50).value
-    assert diag.partial_sum == fh.flint_partial_sum(3, 2, 301, ctx50).value
+    assert diag.half_sum == fh.partial_sum(replace(spec, limit=150), ctx50).value
+    assert diag.partial_sum == fh.partial_sum(spec, ctx50).value
 
 
-def test_last_checkpoint_is_the_partial_sum(ctx50):
-    pairs = fh.flint_partial_sum_checkpoints(3, 2, [7, 100, 355], ctx50)
-    assert pairs[-1] == (355, fh.flint_partial_sum(3, 2, 355, ctx50).value)
+@pytest.mark.parametrize(
+    "spec, checkpoints",
+    [
+        (fh.SeriesSpec(family="flint", u=3, v=2), [7, 100, 355]),
+        # 10 and 400 fall between the record indices 3, 22, 333, 355, 103993
+        (fh.SeriesSpec(family="lacunary", u=3, v=2), [10, 355, 400, 1000]),
+        (fh.SeriesSpec(family="alpha_pi", u=3, v=2), [1, 9, 40]),
+        (fh.SeriesSpec(family="flat_power", u=2, v=1, variant="nearest"), [1, 6, 15]),
+        (fh.SeriesSpec(family="flat_scaled", u=2, v=1, variant="frac", flat_base=7), [2, 9, 15]),
+    ],
+    ids=["flint", "lacunary", "alpha_pi", "flat_power", "flat_scaled"],
+)
+def test_last_checkpoint_is_the_partial_sum(spec, checkpoints, ctx50):
+    if spec.family == "alpha_pi":
+        spec = replace(spec, alpha=fh.constant_value("sqrt2", ctx50))
+    result = fh.partial_sum(replace(spec, limit=checkpoints[-1]), ctx50, checkpoints)
+    assert [c for c, _ in result.checkpoints] == checkpoints
+    for c, value in result.checkpoints:
+        assert value == fh.partial_sum(replace(spec, limit=c), ctx50).value
+    assert result.checkpoints[-1] == (checkpoints[-1], result.value)

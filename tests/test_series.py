@@ -14,84 +14,100 @@ def double_flint(u, v, x):
     return sum(1 / (n**u * math.sin(n) ** v) for n in range(1, x + 1))
 
 
+def flint_spec(u, v, x):
+    return fh.SeriesSpec(family="flint", u=u, v=v, limit=x)
+
+
+def lacunary_spec(x):
+    return fh.SeriesSpec(family="lacunary", u=3, v=2, limit=x)
+
+
+def alpha_pi_spec(u, v, alpha, x):
+    return fh.SeriesSpec(family="alpha_pi", u=u, v=v, alpha=alpha, limit=x)
+
+
+def flat_spec(family, variant, a, b, x):
+    return fh.SeriesSpec(family=family, u=a, v=b, variant=variant, limit=x)
+
+
 class TestFlintPartialSum:
     def test_plot_coordinates(self, ctx50, flint_plot_reference):
         points = {int(r["x"]): float(r["P"]) for r in flint_plot_reference}
-        pairs = fh.flint_partial_sum_checkpoints(3, 2, sorted(points), ctx50)
+        pairs = fh.partial_sum(flint_spec(3, 2, max(points)), ctx50, sorted(points)).checkpoints
         for x, value in pairs:
             assert abs(float(value) - points[x]) < 1e-6
 
     def test_first_term(self, ctx50):
-        r = fh.flint_partial_sum(3, 2, 1, ctx50)
+        r = fh.partial_sum(flint_spec(3, 2, 1), ctx50)
         assert abs(float(r.value) - 1 / math.sin(1) ** 2) < 1e-14
 
     def test_double_oracle_small_limits(self, ctx50):
         for x in (3, 22, 50):
-            got = fh.flint_partial_sum(3, 2, x, ctx50)
+            got = fh.partial_sum(flint_spec(3, 2, x), ctx50)
             assert rel_err(got.value, double_flint(3, 2, x)) < 1e-10
 
     def test_largest_term_at_355(self, ctx50):
-        r = fh.flint_partial_sum(3, 2, 500, ctx50)
+        r = fh.partial_sum(flint_spec(3, 2, 500), ctx50)
         assert r.largest_term[0] == 355
 
     def test_monotone_for_even_v(self, ctx50):
-        pairs = fh.flint_partial_sum_checkpoints(3, 2, [10, 50, 100, 300, 500], ctx50)
+        pairs = fh.partial_sum(flint_spec(3, 2, 500), ctx50, [10, 50, 100, 300, 500]).checkpoints
         values = [v for _, v in pairs]
         assert all(values[i] <= values[i + 1] for i in range(len(values) - 1))
 
     def test_every_term_positive_for_even_v(self, ctx50):
-        r = fh.flint_partial_sum(3, 2, 200, ctx50)
+        r = fh.partial_sum(flint_spec(3, 2, 200), ctx50)
         assert r.value > 0 and r.largest_term[1] > 0
 
     def test_precision_doubling(self):
         for u, v, x in ((3, 2, 355), (2, 1, 1000)):
-            a = fh.flint_partial_sum(u, v, x, fh.make_context(50)).value
-            b = fh.flint_partial_sum(u, v, x, fh.make_context(100)).value
+            a = fh.partial_sum(flint_spec(u, v, x), fh.make_context(50)).value
+            b = fh.partial_sum(flint_spec(u, v, x), fh.make_context(100)).value
             assert abs(a - b) <= abs(b) * fh.make_context(50).mpf(10) ** (-(50 - 8))
 
     def test_compensation_residual_small(self, ctx50):
-        r = fh.flint_partial_sum(3, 2, 500, ctx50)
+        r = fh.partial_sum(flint_spec(3, 2, 500), ctx50)
         assert float(r.compensation_residual) < 1e-80
 
     def test_bad_exponents(self, ctx50):
         with pytest.raises(fh.DomainError):
-            fh.flint_partial_sum(0, 2, 5, ctx50)
+            fh.partial_sum(flint_spec(0, 2, 5), ctx50)
         with pytest.raises(fh.DomainError):
-            fh.flint_partial_sum(3, 1.5, 4, ctx50)  # sin(4) < 0, non-integer power
+            fh.partial_sum(flint_spec(3, 1.5, 4), ctx50)  # sin(4) < 0, non-integer power
         inf = float("inf")
         with pytest.raises(fh.DomainError, match="finite"):
-            fh.flint_partial_sum(inf, 2, 3, ctx50)
+            fh.partial_sum(flint_spec(inf, 2, 3), ctx50)
         with pytest.raises(fh.DomainError, match="finite"):
-            fh.flint_partial_sum(3, inf, 3, ctx50)
+            fh.partial_sum(flint_spec(3, inf, 3), ctx50)
         with pytest.raises(fh.DomainError, match="finite"):
-            fh.alpha_pi_partial_sum(inf, 2, fh.constant_value("sqrt2", ctx50), 3, ctx50)
+            fh.partial_sum(alpha_pi_spec(inf, 2, fh.constant_value("sqrt2", ctx50), 3), ctx50)
         with pytest.raises(fh.DomainError, match="finite"):
-            fh.flat_hills_partial_sum("nearest_power", inf, 1, 3, ctx50)
+            fh.partial_sum(flat_spec("flat_power", "nearest", inf, 1, 3), ctx50)
         with pytest.raises(fh.DomainError, match="^series exponents u, v must be positive$"):
-            fh.flint_partial_sum(float("nan"), 2, 3, ctx50)
+            fh.partial_sum(flint_spec(float("nan"), 2, 3), ctx50)
 
 
 class TestLacunaryPartialSum:
     def test_single_record_index(self, ctx50):
-        r = fh.lacunary_partial_sum(3, 2, 1, [1], ctx50)
+        r = fh.partial_sum(lacunary_spec(1), ctx50)
         assert abs(float(r.value) - 1.4122829) < 1e-6
 
     def test_two_record_indices(self, ctx50):
-        r = fh.lacunary_partial_sum(3, 2, 3, [1, 3], ctx50)
+        r = fh.partial_sum(lacunary_spec(3), ctx50)
         oracle = 1 / math.sin(1) ** 2 + 1 / (27 * math.sin(3) ** 2)
         assert rel_err(r.value, oracle) < 1e-12
         assert abs(oracle - 3.2720521259710487) < 1e-12
 
     def test_empty_sum_warns(self, ctx50):
         with pytest.warns(UserWarning):
-            r = fh.lacunary_partial_sum(3, 2, 0, [1, 3, 22], ctx50)
+            r = fh.partial_sum(lacunary_spec(0), ctx50)
         assert r.value == 0 and r.largest_term is None
 
     def test_splitting_identity(self, ctx50):
         # P_x = (sum over non-record n) + Q_x, recomputed independently
         x = 400
-        p_full = fh.flint_partial_sum(3, 2, x, ctx50)
-        q_lac = fh.lacunary_partial_sum(3, 2, x, LACUNARY_UNDER_400, ctx50)
+        p_full = fh.partial_sum(flint_spec(3, 2, x), ctx50)
+        q_lac = fh.partial_sum(lacunary_spec(x), ctx50)
         mp = ctx50._mp
         rest = mp.mpf(0)
         skip = set(LACUNARY_UNDER_400)
@@ -111,41 +127,41 @@ class TestLacunaryPartialSum:
 class TestAlphaPiPartialSum:
     def test_single_term_sqrt2(self, ctx50):
         alpha = fh.constant_value("sqrt2", ctx50)
-        r = fh.alpha_pi_partial_sum(3, 2, alpha, 1, ctx50)
+        r = fh.partial_sum(alpha_pi_spec(3, 2, alpha, 1), ctx50)
         oracle = 1 / math.sin(math.sqrt(2) * math.pi) ** 2
         assert rel_err(r.value, oracle) < 1e-12
         assert abs(oracle - 1.0763010329070786) < 1e-12
 
     def test_ten_terms_against_double_oracle(self, ctx50):
         alpha = fh.constant_value("sqrt2", ctx50)
-        r = fh.alpha_pi_partial_sum(3, 2, alpha, 10, ctx50)
+        r = fh.partial_sum(alpha_pi_spec(3, 2, alpha, 10), ctx50)
         oracle = sum(
             1 / (n**3 * math.sin(math.pi * math.sqrt(2) * n) ** 2) for n in range(1, 11)
         )
         assert rel_err(r.value, oracle) < 1e-8
 
     def test_empty(self, ctx50):
-        r = fh.alpha_pi_partial_sum(1, 1, fh.constant_value("sqrt2", ctx50), 0, ctx50)
+        r = fh.partial_sum(alpha_pi_spec(1, 1, fh.constant_value("sqrt2", ctx50), 0), ctx50)
         assert r.value == 0
 
     def test_unresolvable_sine_raises(self, ctx50):
         # alpha = 1/2 puts sin(alpha pi n) exactly at zero for even n
         with pytest.raises(fh.PrecisionInsufficientError, match="n=2"):
-            fh.alpha_pi_partial_sum(3, 2, ctx50.mpf("0.5"), 4, ctx50)
+            fh.partial_sum(alpha_pi_spec(3, 2, ctx50.mpf("0.5"), 4), ctx50)
 
 
 class TestFlatHills:
     def test_scaled_nearest_first_term(self, ctx50):
-        r = fh.flat_hills_partial_sum("nearest_scaled", 2, 1, 1, ctx50)
+        r = fh.partial_sum(flat_spec("flat_scaled", "nearest", 2, 1, 1), ctx50)
         oracle = 1 / math.sin(abs(10 * math.pi - 31))
         assert rel_err(r.value, oracle) < 1e-12
         assert abs(oracle - 2.475016898983283) < 1e-11
 
     def test_power_empty(self, ctx50):
-        assert fh.flat_hills_partial_sum("nearest_power", 2, 1, 0, ctx50).value == 0
+        assert fh.partial_sum(flat_spec("flat_power", "nearest", 2, 1, 0), ctx50).value == 0
 
     def test_power_fractional_parts(self, ctx50):
-        r = fh.flat_hills_partial_sum("frac_power", 2, 2, 2, ctx50)
+        r = fh.partial_sum(flat_spec("flat_power", "frac", 2, 2, 2), ctx50)
         f1 = math.pi - 3
         f2 = math.pi**2 - 9
         oracle = 1 / math.sin(f1) ** 2 + 1 / (4 * math.sin(f2) ** 2)
@@ -153,11 +169,11 @@ class TestFlatHills:
 
     def test_deep_power_argument_precision(self, ctx50):
         # ||pi^n|| needs ~n/2 extra digits; a 150th power must still resolve
-        r = fh.flat_hills_partial_sum("nearest_power", 2, 2, 150, ctx50)
+        r = fh.partial_sum(flat_spec("flat_power", "nearest", 2, 2, 150), ctx50)
         assert r.value > 0
 
     def test_scaled_fractional_parts(self, ctx50):
-        r = fh.flat_hills_partial_sum("frac_scaled", 2, 1, 2, ctx50)
+        r = fh.partial_sum(flat_spec("flat_scaled", "frac", 2, 1, 2), ctx50)
         f1 = 10 * math.pi - 31
         f2 = 100 * math.pi - 314
         oracle = 1 / math.sin(f1) + 1 / (4 * math.sin(f2))
@@ -170,16 +186,16 @@ class TestFlatHills:
         machin = mpreal._pi_machin_scaled
         monkeypatch.setattr(mpreal, "_pi_machin_scaled", lambda d: calls.append(d) or machin(d))
         monkeypatch.setattr(mpreal, "_pi_cache", {})
-        fh.flat_hills_partial_sum("nearest_scaled", 2, 1, 200, ctx50)
+        fh.partial_sum(flat_spec("flat_scaled", "nearest", 2, 1, 200), ctx50)
         assert len(calls) == 1
 
     def test_validation(self, ctx50):
         with pytest.raises(fh.DomainError):
-            fh.flat_hills_partial_sum("sideways", 2, 1, 3, ctx50)
+            fh.partial_sum(flat_spec("flat_power", "sideways", 2, 1, 3), ctx50)
         with pytest.raises(fh.DomainError):
-            fh.flat_hills_partial_sum("frac_power", 1, 1, 3, ctx50)
+            fh.partial_sum(flat_spec("flat_power", "frac", 1, 1, 3), ctx50)
         with pytest.raises(fh.DomainError):
-            fh.flat_hills_partial_sum("frac_power", 2, 0, 3, ctx50)
+            fh.partial_sum(flat_spec("flat_power", "frac", 2, 0, 3), ctx50)
 
 
 class TestConvergenceReport:
@@ -260,3 +276,11 @@ class TestGammaReflectionTable:
     def test_euler_cross_check_runs(self, ctx60):
         rows = fh.gamma_reflection_table(3, ctx60, cross_check=True)
         assert [r.index for r in rows] == [1, 2, 3]
+
+    def test_wrong_reflection_fails_the_cross_check(self, ctx60, monkeypatch):
+        import flinthills.series as series
+
+        monkeypatch.setattr(series, "sin_int", lambda n, ctx: -sin_int(n, ctx))
+        with pytest.raises(fh.CrossCheckError, match="p=3"):
+            fh.gamma_reflection_table(3, ctx60)
+        assert len(fh.gamma_reflection_table(3, ctx60, cross_check=False)) == 3
