@@ -38,6 +38,7 @@ from .errors import (
     UndefinedMeasureError,
 )
 from .kernels import (
+    SUM_FORM_MAX_ORDER,
     BoundReport,
     KernelEval,
     ShiftSequenceTerm,
@@ -52,12 +53,9 @@ from .kernels import (
 from .mpreal import (
     RealContext,
     cos_int,
-    cos_real,
-    ln_real,
     make_context,
     pi_const,
     sin_int,
-    sin_real,
 )
 from .series import (
     ConvergenceDiagnostics,

@@ -3,14 +3,16 @@
 One text document per constant: a short header (constant, precision, term
 count, checksum) followed by the terms.  The checksum covers the canonical
 space-joined term string.  Entries computed at lower precision than requested
-are ignored rather than trusted.  Entries are replaced atomically; concurrent
-writers are not coordinated beyond that, and the last rename wins.
+are ignored rather than trusted, and corrupt ones are misses.  Entries are
+replaced atomically; concurrent writers are not coordinated beyond that, and
+the last rename wins.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,7 +80,7 @@ def read_entry(constant_id: str, directory=None) -> CacheEntry | None:
     path = entry_path(constant_id, directory)
     if not path.exists():
         return None
-    lines = path.read_text(encoding="ascii").splitlines()
+    lines = path.read_text(encoding="ascii", errors="replace").splitlines()
     if len(lines) < 6 or lines[0] != _MAGIC:
         raise CacheError(f"{path}: not a cache file")
     header = {}
@@ -108,8 +110,12 @@ def read_entry(constant_id: str, directory=None) -> CacheEntry | None:
 
 
 def load_quotients(constant_id: str, min_terms: int, min_precision: int = 0, directory=None) -> PartialQuotients | None:
-    """Cached quotients when fresh enough, else None (stale entries ignored)."""
-    entry = read_entry(constant_id, directory)
+    """Cached quotients when fresh enough, else None; a corrupt entry is a miss, with a warning."""
+    try:
+        entry = read_entry(constant_id, directory)
+    except CacheError as exc:
+        print(f"warning: ignoring cache entry {exc}", file=sys.stderr)
+        return None
     if entry is None:
         return None
     if entry.term_count < min_terms or entry.precision_digits < min_precision:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -200,10 +201,17 @@ def _cmd_audit(args, out):
     return 0
 
 
-def _decimal_arg(ctx, flag: str, text: str):
+MAX_ARG_DIGITS = 4300  # Fraction builds 10**exponent first; Python parses ints up to 4300 digits
+
+
+def _exact_arg(flag: str, text: str) -> Fraction:
+    """A kernel argument as an exact decimal (or a/b) rational of bounded size."""
+    _, e, exponent = text.lower().partition("e")
     try:
-        return ctx.mpf(text)
-    except ValueError:
+        if len(text) > MAX_ARG_DIGITS or (e and abs(int(exponent)) > MAX_ARG_DIGITS):
+            raise FlintHillsError(f"{flag} is too long or its exponent too large, got {text!r}")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
         raise FlintHillsError(f"{flag} must be a number, got {text!r}") from None
 
 
@@ -216,8 +224,10 @@ def _cmd_kernel(args, out):
         return _emit(out, args, _rows(report.rows, index="m"), args.digits)
     if args.x is None or args.z is None:
         raise FlintHillsError("--x and --z are required for kernel evaluation")
-    x = int(args.x) if args.x.lstrip("+-").isdigit() else _decimal_arg(ctx, "--x", args.x)
-    z = _decimal_arg(ctx, "--z", args.z)
+    x = _exact_arg("--x", args.x)
+    if args.x.lstrip("+-").isdigit():  # a plain integer token is a kernel order
+        x = int(x)
+    z = _exact_arg("--z", args.z)
     if args.type == "dirichlet":
         result = kernels.dirichlet_kernel(x, z, ctx)
     else:

@@ -205,9 +205,3 @@ def load_table_annotations(path=None) -> tuple[TableAnnotation, ...]:
         out.append(TableAnnotation(table=table, row=int(row), column=column, note=note))
     return tuple(out)
 
-
-def annotated_cells(annotations=None) -> set[tuple[str, int, str]]:
-    """(table, row, column) triples to exempt from table comparisons."""
-    if annotations is None:
-        annotations = load_table_annotations()
-    return {(a.table, a.row, a.column) for a in annotations}

@@ -15,6 +15,10 @@ unhalved expression is used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
+
+from mpmath.libmp import from_rational, round_nearest
 
 from .contfrac import constant_convergents, convergents, digits_for_terms, expand
 from .errors import (
@@ -26,15 +30,19 @@ from .errors import (
 from .mpreal import (
     RealContext,
     cos_int,
-    cos_real,
     decimal_length,
     make_context,
     pi_const,
     pi_scaled,
+    reduction_digits,
+    residue_mod_pi,
     sin_int,
-    sin_real,
     sincos_pi_rational_plus_int,
 )
+
+# integer orders above this get the closed form only: the sum form costs one
+# working-precision cosine per term
+SUM_FORM_MAX_ORDER = 10**6
 
 
 def v2(m: int) -> int:
@@ -66,7 +74,7 @@ class KernelEval:
     x_param: object
     z: object
     closed_form: object
-    sum_form: object | None  # present only for integer x
+    sum_form: object | None  # present only for integer x <= SUM_FORM_MAX_ORDER
     abs_bound: object | None
 
 
@@ -114,71 +122,86 @@ def shift_term(p: int, ctx: RealContext, index: int = 0) -> ShiftSequenceTerm:
     )
 
 
-def _check_nonsingular(z, ctx: RealContext):
-    """Reject z within 10^(-decimal_digits/2) of an integer multiple of pi."""
-    mp = ctx._mp
-    z = mp.mpf(z)
-    if not mp.isfinite(z):
+def _exact(value, ctx: RealContext) -> Fraction:
+    """An int, Fraction, decimal string, or mpf (at its exact binary value) as a Fraction."""
+    if isinstance(value, (int, Fraction, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"kernel argument must be a finite number, got {value!r}") from None
+    value = ctx._mp.mpf(value)
+    if not ctx._mp.isfinite(value):
         raise DomainError("kernel argument must be finite")
-    pi = pi_const(ctx)
-    residue = z - pi * mp.nint(z / pi)
-    if abs(residue) < mp.mpf(10) ** (-(ctx.decimal_digits // 2)):
-        raise SingularArgumentError(f"z={z} is within tolerance of a multiple of pi")
-    return z
+    man, exp = value.man_exp
+    return Fraction(int(man) << exp) if exp >= 0 else Fraction(int(man), 1 << -exp)
+
+
+def _rounded(q: Fraction, ctx: RealContext):
+    """The exact rational q correctly rounded to working precision."""
+    return ctx._mp.make_mpf(from_rational(q.numerator, q.denominator, ctx._mp.prec, round_nearest))
+
+
+def _is_order(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _kernel(x, z, ctx: RealContext, fejer: bool) -> KernelEval:
+    """Closed form of either kernel, and its cosine sum for orders up to the cap.
+
+    x and z are exact rationals, so every sine is reduced modulo pi exactly;
+    z within 10^(-decimal_digits/2) of a multiple of pi is singular.  The sum
+    form runs over cos(2 n theta), theta = z - q pi the same exact residue.
+    """
+    mp = ctx._mp
+    zq = _exact(z, ctx)
+    red = reduction_digits(zq, ctx)
+    _, r = residue_mod_pi(0, 1, zq, red)
+    zv = _rounded(zq, ctx)
+    if abs(r) < 10 ** (red - ctx.decimal_digits // 2):
+        raise SingularArgumentError(f"z={zv} is within tolerance of a multiple of pi")
+    order = _is_order(x)
+    xq = _exact(x, ctx)
+    if fejer:
+        s = sin_int((xq + 1) * zq, ctx)
+        closed = s * s / (sin_int(zq, ctx) ** 2)
+    else:
+        closed = sin_int((2 * xq + 1) * zq, ctx) / sin_int(zq, ctx)
+    sum_form = None
+    if order and x <= SUM_FORM_MAX_ORDER:
+        theta = mp.mpf(r) / mp.mpf(10**red)
+        one = mp.mpf(1)
+        terms = (2 * mp.cos(2 * n * theta) for n in range(1, x + 1))
+        # Fejer: the Dirichlet kernels D_0 + ... + D_x, each one cosine pair longer
+        sum_form = sum(accumulate(terms, initial=one)) if fejer else sum(terms, one)
+        tol = mp.mpf(10) ** (6 - ctx.decimal_digits)
+        if abs(closed - sum_form) > tol * max(one, abs(closed)):
+            raise CrossCheckError(f"{'Fejer' if fejer else 'kernel'} sum and closed form disagree at x={x}, z={zv}")
+    return KernelEval(
+        x_param=x if order else _rounded(xq, ctx),
+        z=zv,
+        closed_form=closed,
+        sum_form=sum_form,
+        abs_bound=mp.mpf((x + 1) ** 2 if fejer else 2 * x + 1) if order else None,
+    )
 
 
 def dirichlet_kernel(x, z, ctx: RealContext) -> KernelEval:
     """Dirichlet kernel at (x, z): closed form sin((2x+1)z)/sin(z).
 
-    For integer x >= 0 the defining cosine sum is evaluated as well and must
-    agree with the closed form; any real x is accepted for the closed form
-    alone (the expression continues analytically in x).
+    For an integer order x >= 0 the defining cosine sum must agree with it as
+    well; any real x (an int, Fraction, decimal string or mpf, like z) gets
+    the closed form alone, which continues analytically in x.
     """
-    mp = ctx._mp
-    z = _check_nonsingular(z, ctx)
-    is_integer_x = isinstance(x, int) and not isinstance(x, bool)
-    if is_integer_x and x < 0:
+    if _is_order(x) and x < 0:
         raise DomainError("integer kernel order must be nonnegative")
-    xv = mp.mpf(x)
-    closed = sin_real((2 * xv + 1) * z, ctx) / sin_real(z, ctx)
-    sum_form = None
-    abs_bound = None
-    if is_integer_x:
-        acc = mp.mpf(1)
-        for n in range(1, x + 1):
-            acc += 2 * cos_real(2 * n * z, ctx)
-        sum_form = acc
-        abs_bound = mp.mpf(2 * x + 1)
-        tol = mp.mpf(10) ** (6 - ctx.decimal_digits)
-        if abs(closed - sum_form) > tol * max(mp.mpf(1), abs(closed)):
-            raise CrossCheckError(f"kernel sum and closed form disagree at x={x}, z={z}")
-    return KernelEval(x_param=x, z=z, closed_form=closed, sum_form=sum_form, abs_bound=abs_bound)
+    return _kernel(x, z, ctx, fejer=False)
 
 
 def fejer_kernel(x: int, z, ctx: RealContext) -> KernelEval:
     """Fejer kernel at integer x >= 0: double cosine sum vs sin((x+1)z)^2/sin(z)^2."""
-    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+    if not _is_order(x) or x < 0:
         raise DomainError("Fejer kernel requires an integer order x >= 0")
-    mp = ctx._mp
-    z = _check_nonsingular(z, ctx)
-    s = sin_real((x + 1) * z, ctx)
-    closed = s * s / (sin_real(z, ctx) ** 2)
-    # sum of Dirichlet kernels D_0 + ... + D_x, each extended by one cosine pair
-    dirichlet = mp.mpf(1)
-    total = mp.mpf(1)
-    for n in range(1, x + 1):
-        dirichlet += 2 * cos_real(2 * n * z, ctx)
-        total += dirichlet
-    tol = mp.mpf(10) ** (6 - ctx.decimal_digits)
-    if abs(closed - total) > tol * max(mp.mpf(1), abs(closed)):
-        raise CrossCheckError(f"Fejer sum and closed form disagree at x={x}, z={z}")
-    return KernelEval(
-        x_param=x,
-        z=z,
-        closed_form=closed,
-        sum_form=total,
-        abs_bound=mp.mpf((x + 1) ** 2),
-    )
+    return _kernel(x, z, ctx, fejer=True)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +344,7 @@ def cf_technique_check(d: int, m_max: int, ctx: RealContext) -> BoundReport:
         distance = abs(value - wmp.nint(value))
         within = bool(distance < inv_two_pi)
         ok_count += within
-        abs_sin = abs(wmp.sin(two_pi * value))
+        abs_sin = wmp.sin(two_pi * distance)  # |sin(2 pi value)|, as distance <= 1/2
         rows.append(
             CfTechniqueRow(
                 index=m,

@@ -7,8 +7,8 @@ independent integer-arithmetic series (a Machin arctangent evaluation and a
 binary-splitting Chudnovsky evaluation) that must agree, and must match a
 bundled 1000-digit reference, before a value is released.
 
-Sines of huge integer arguments are reduced modulo pi in exact scaled-integer
-arithmetic, with pi carried to twice the argument's digit length in extra
+Sines of exact rational arguments are reduced modulo pi in exact scaled-integer
+arithmetic, with pi carried to twice the numerator's digit length in extra
 digits: near a numerator of a convergent of pi the residue m - q*pi can be as
 small as ~1/q, and the result must stay relatively accurate there.
 """
@@ -40,16 +40,14 @@ class RealContext:
 
     __slots__ = ("decimal_digits", "guard_digits", "_mp")
 
-    def __init__(self, decimal_digits: int, guard_digits: int = DEFAULT_GUARD_DIGITS):
+    def __init__(self, decimal_digits: int):
         if decimal_digits < MIN_DECIMAL_DIGITS:
             raise PrecisionError(
                 f"precision too low: {decimal_digits} digits requested, "
                 f"minimum is {MIN_DECIMAL_DIGITS}"
             )
-        if guard_digits < 1:
-            raise PrecisionError("guard_digits must be positive")
         self.decimal_digits = int(decimal_digits)
-        self.guard_digits = int(guard_digits)
+        self.guard_digits = DEFAULT_GUARD_DIGITS
         mp = MPContext()
         mp.dps = self.decimal_digits + self.guard_digits
         self._mp = mp
@@ -63,12 +61,12 @@ class RealContext:
         return self._mp.mpf(x)
 
     def __repr__(self) -> str:
-        return f"RealContext(decimal_digits={self.decimal_digits}, guard_digits={self.guard_digits})"
+        return f"RealContext(decimal_digits={self.decimal_digits})"
 
 
-def make_context(decimal_digits: int, guard_digits: int = DEFAULT_GUARD_DIGITS) -> RealContext:
+def make_context(decimal_digits: int) -> RealContext:
     """Create a context; rejects precision below the supported minimum."""
-    return RealContext(decimal_digits, guard_digits)
+    return RealContext(decimal_digits)
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +152,14 @@ def _pi_chudnovsky_scaled(digits: int) -> int:
     terms = prec // 14 + 2
     _, q, t = _chudnovsky_split(0, terms)
     scale = 10**prec
+    # cut Q and T to 64 bits beyond the scale, as _arctan_inv_scaled does:
+    # Q/T moves by a relative 2**-63 / scale, far below one unit
+    shift = max(0, q.bit_length() - scale.bit_length() - 64)
+    q >>= shift
+    t >>= shift
     sqrt_10005 = math.isqrt(10005 * scale * scale)
     val = q * 426880 * sqrt_10005 // t
     return val // 10**_PI_SERIES_GUARD
-
-
-def _int_prefix(value: int, value_digits: int, k: int) -> int:
-    """First k decimal digits of a value known to have value_digits digits."""
-    return value // 10 ** (value_digits - k)
 
 
 def pi_scaled(digits: int) -> int:
@@ -191,7 +189,7 @@ def pi_scaled(digits: int) -> int:
         # value has digits+1 decimal digits ("3" + digits); drop the last,
         # possibly off-by-one, digit from the comparison
         k = min(digits, len(ref) - 1)
-        if _int_prefix(a, digits + 1, k) != int(ref[:k]):
+        if a // 10 ** (digits + 1 - k) != int(ref[:k]):
             raise CrossCheckError(
                 f"pi computation does not match the bundled reference at {digits} digits"
             )
@@ -237,39 +235,45 @@ def decimal_length(n: int) -> int:
     return est + 1
 
 
-def _reduce_nearest(t: int, p: int) -> tuple[int, int]:
-    """Split t = q*p + r with r in (-p/2, p/2], q the nearest multiple."""
-    q, r = divmod(t, p)
-    if 2 * r > p:
-        q += 1
-        r -= p
-    return q, r
-
-
 # ---------------------------------------------------------------------------
 # trigonometric operations
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(ctx: RealContext, value):
-    if not ctx._mp.isfinite(value):
-        raise DomainError("operation produced a non-finite value")
-    return value
+def residue_mod_pi(num: int, den: int, m, red: int) -> tuple[int, int]:
+    """(q, r) with pi*num/den + m = q*pi + r/10**red and |r| <= pi/2 at that scale.
 
-
-def _reduce_mod_pi(num: int, den: int, m: int, red: int, ctx: RealContext, want: str):
-    """sin, cos or (sin, cos) of pi*num/den + m, by exact reduction modulo pi.
-
-    The argument is scaled by 10**red, split as q*pi + r with |r| <= pi/2 at
-    that scale, and evaluated at r; a shift by pi negates sine and cosine
-    alike, so the values flip sign when q is odd.  want is "sin", "cos" or
-    "sincos".
+    m is an exact int or Fraction.  Every term is floored at the scale, so r
+    is off by at most |q| + 2 units.
     """
     s = 10**red
     p = pi_scaled(red)
-    q, r = _reduce_nearest((p * num) // den + m * s, p)
+    q, r = divmod((p * num) // den + (m.numerator * s) // m.denominator, p)
+    if 2 * r > p:  # step to the nearest multiple
+        q, r = q + 1, r - p
+    return q, r
+
+
+def reduction_digits(m, ctx: RealContext) -> int:
+    """Scale digits for reducing an exact rational m modulo pi.
+
+    Twice the numerator's length in extra digits: one length absorbs the size
+    of m, the other keeps the result relatively accurate even when m - q pi
+    is as small as ~1/m (the convergent-numerator worst case).  A fraction
+    below one (q = 0) needs the denominator's length instead.
+    """
+    return ctx.effective_digits + max(2 * decimal_length(m.numerator), decimal_length(m.denominator))
+
+
+def _reduce_mod_pi(num: int, den: int, m, red: int, ctx: RealContext, want: str):
+    """sin, cos or (sin, cos) of pi*num/den + m, evaluated at its residue r.
+
+    A shift by pi negates sine and cosine alike, so the values flip sign when
+    q is odd.  want is "sin", "cos" or "sincos".
+    """
+    q, r = residue_mod_pi(num, den, m, red)
     mp = ctx._mp
-    x = mp.mpf(r) / mp.mpf(s)
+    x = mp.mpf(r) / mp.mpf(10**red)
     if want == "sincos":
         cv, sv = mp.cos_sin(x)
         return (-sv, -cv) if q & 1 else (sv, cv)
@@ -277,26 +281,14 @@ def _reduce_mod_pi(num: int, den: int, m: int, red: int, ctx: RealContext, want:
     return -value if q & 1 else value
 
 
-def sin_int(m: int, ctx: RealContext):
-    """sin(m) for an exact integer m of any magnitude.
-
-    Reduces m modulo pi with pi carried to twice the digit length of m in
-    extra digits: the first length absorbs the size of m itself, the second
-    keeps the result relatively accurate even when the residue m - q pi is as
-    small as ~1/m (the convergent-numerator worst case).
-    """
-    if m == 0:
-        return ctx._mp.mpf(0)
-    red = ctx.effective_digits + 2 * decimal_length(m)
-    return _check_finite(ctx, _reduce_mod_pi(0, 1, m, red, ctx, "sin"))
+def sin_int(m, ctx: RealContext):
+    """sin(m) for an exact int or Fraction m of any magnitude, reduced exactly modulo pi."""
+    return _reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx, "sin")
 
 
-def cos_int(m: int, ctx: RealContext):
-    """cos(m) for an exact integer m, by the same reduction as sin_int."""
-    if m == 0:
-        return ctx._mp.mpf(1)
-    red = ctx.effective_digits + 2 * decimal_length(m)
-    return _check_finite(ctx, _reduce_mod_pi(0, 1, m, red, ctx, "cos"))
+def cos_int(m, ctx: RealContext):
+    """cos(m) for an exact int or Fraction m, by the same reduction as sin_int."""
+    return _reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx, "cos")
 
 
 def sincos_pi_rational_plus_int(num: int, den: int, m: int, ctx: RealContext):
@@ -309,30 +301,3 @@ def sincos_pi_rational_plus_int(num: int, den: int, m: int, ctx: RealContext):
         raise DomainError("denominator must be positive")
     red = ctx.effective_digits + 2 * decimal_length(abs(num) // den + abs(m) + 1) + 2
     return _reduce_mod_pi(num, den, m, red, ctx, "sincos")
-
-
-def sin_real(x, ctx: RealContext):
-    """sin(x) for a finite real, correctly reduced at working precision."""
-    mp = ctx._mp
-    x = mp.mpf(x)
-    if not mp.isfinite(x):
-        raise DomainError("sin_real requires a finite argument")
-    return _check_finite(ctx, mp.sin(x))
-
-
-def cos_real(x, ctx: RealContext):
-    """cos(x) for a finite real."""
-    mp = ctx._mp
-    x = mp.mpf(x)
-    if not mp.isfinite(x):
-        raise DomainError("cos_real requires a finite argument")
-    return _check_finite(ctx, mp.cos(x))
-
-
-def ln_real(x, ctx: RealContext):
-    """Natural logarithm; domain error for x <= 0."""
-    mp = ctx._mp
-    x = mp.mpf(x)
-    if not mp.isfinite(x) or x <= 0:
-        raise DomainError(f"ln_real requires x > 0, got {x}")
-    return _check_finite(ctx, mp.ln(x))

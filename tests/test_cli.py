@@ -1,9 +1,14 @@
+import contextlib
 import csv
 import io
 import json
+import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 
 from flinthills.cli import run
 
@@ -51,6 +56,9 @@ class TestHostileInputs:
             (["kernel", "--type", "dirichlet", "--x", "abc", "--z", "1"], "--x"),
             (["kernel", "--type", "dirichlet", "--x", "2", "--z", "abc"], "--z"),
             (["kernel", "--type", "fejer", "--x", "2.5x", "--z", "1"], "--x"),
+            (["kernel", "--type", "dirichlet", "--x", "2", "--z", "inf"], "--z must be a number, got 'inf'"),
+            (["kernel", "--type", "dirichlet", "--x", "1e999999", "--z", "1"], "--x is too long or its exponent"),
+            (["kernel", "--type", "dirichlet", "--x", "1" * 5000, "--z", "1"], "--x is too long"),
             (["series", "lacunary", "--limit", "0"], "x must be >= 1"),
             (["series", "flint", "--limit", "5", "--points", "abc"],
              "--points must be comma-separated integers, got 'abc'"),
@@ -71,6 +79,45 @@ class TestHostileInputs:
         err = capsys.readouterr().err
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def _kernel_tokens():
+    number = st.one_of(
+        st.integers(0, 10**4).map(str),
+        st.integers(10**6 + 1, 10**4000).map(str),
+        st.builds(lambda m, e: f"{m}e{e}", st.integers(-(10**6), 10**6), st.integers(-5000, 5000)),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["inf", "-inf", "nan", "1/0", "3/7", "+-5", "1e", "0", "-3", "", " 2 "]),
+        st.text(max_size=8),
+    )
+    return number
+
+
+class TestKernelFuzz:
+    """Hostile kernel tokens end in an answer or one error line, never a traceback."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["dirichlet", "fejer"]),
+        x=_kernel_tokens(),
+        z=_kernel_tokens(),
+        digits=st.one_of(st.none(), st.integers(-5, 80).map(str), st.sampled_from(["abc", "1e3", ""])),
+    )
+    def test_exit_codes(self, kind, x, z, digits):
+        argv = ["kernel", "--type", kind, f"--x={x}", f"--z={z}"]
+        if digits is not None:
+            argv.append(f"--digits={digits}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, _ = run_cli(argv)
+        text = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in text
+        if code == 2:  # argparse: usage, then one error line
+            assert text.splitlines()[-1].startswith("flinthills kernel: error:")
+        else:
+            assert text.count("\n") == (code == 1)
 
 
 class TestFormats:
@@ -175,6 +222,38 @@ class TestKernelAndShiftCommands:
         row = json.loads(out)
         assert abs(row["closed_form"] - (-1.1395809148215086)) < 1e-12
         assert abs(row["closed_form"] - row["sum_form"]) < 1e-12
+
+    @pytest.mark.parametrize(
+        "x, z, digits, closed, summed",
+        [
+            # mpmath at 600 digits; the argument (2x+1)z is reduced exactly
+            ("1e60", "0.3", "30", "0.960760180103725681858736349914", ""),
+            ("1e400", "0.3", "30", "3.26346679945761066950321006594", ""),
+            ("2", "1e500", "30", "3.21498", "3.21498"),
+        ],
+    )
+    def test_dirichlet_large_arguments(self, x, z, digits, closed, summed):
+        full = ["--full"] if len(closed) > 7 else []
+        code, out = run_cli(["kernel", "--type", "dirichlet", "--x", x, "--z", z, "--digits", digits,
+                             "--format", "csv", *full])
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["closed_form"], row["sum_form"]) == (closed, summed)
+
+    def test_huge_integer_order_is_bounded(self):
+        # above the sum-form cap only the closed form runs
+        x = 10**21
+        start = time.perf_counter()
+        code, out = run_cli(["kernel", "--type", "dirichlet", "--x", str(x), "--z", "1",
+                             "--format", "csv", "--full"])
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        mp = MPContext()
+        mp.dps = 150
+        want = mp.sin(2 * x + 1) / mp.sin(1)
+        assert row["sum_form"] == "" and mp.mpf(row["abs_bound"]) == 2 * x + 1
+        assert abs(mp.mpf(row["closed_form"]) - want) <= mp.mpf(10) ** -48 * abs(want)
 
     def test_cf_audit(self):
         code, out = run_cli(["kernel", "--type", "cf", "--d", "1559", "--m-max", "3",
@@ -298,10 +377,22 @@ class TestExpandAndCache:
         assert cache.read_entry("pi", tmp_path) == before
         assert [p.name for p in tmp_path.iterdir()] == ["pi.cfcache"]
 
-    def test_checksum_failure_detected(self, tmp_path, monkeypatch):
+    def test_checksum_failure_detected(self, tmp_path, monkeypatch, capsys):
+        # a corrupt entry is a miss: one warning line, then the uncached answer
         monkeypatch.setenv("FLINTHILLS_CACHE_DIR", str(tmp_path))
+        uncached = run_cli(["convergents", "--terms", "5"])
         run_cli(["expand", "--terms", "10", "--cache-write"])
         path = tmp_path / "pi.cfcache"
         path.write_text(path.read_text().replace(" 292", " 293"))
-        code, _ = run_cli(["convergents", "--terms", "5", "--cache-read"])
-        assert code == 1
+        capsys.readouterr()
+        assert run_cli(["convergents", "--terms", "5", "--cache-read"]) == uncached
+        assert capsys.readouterr().err == f"warning: ignoring cache entry {path}: checksum mismatch\n"
+
+    def test_non_ascii_entry_is_a_miss(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FLINTHILLS_CACHE_DIR", str(tmp_path))
+        uncached = run_cli(["convergents", "--terms", "5"])
+        path = tmp_path / "pi.cfcache"
+        path.write_bytes(b"\xff\xfe garbage")
+        capsys.readouterr()
+        assert run_cli(["convergents", "--terms", "5", "--cache-read"]) == uncached
+        assert capsys.readouterr().err == f"warning: ignoring cache entry {path}: not a cache file\n"

@@ -1,9 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 
 import flinthills as fh
 
@@ -127,6 +129,87 @@ class TestFejerKernel:
     def test_rejects_non_integer_order(self, ctx50):
         with pytest.raises(fh.DomainError):
             fh.fejer_kernel(1.5, ctx50.mpf(1), ctx50)
+
+
+def decimals(max_exponent):
+    """Decimal strings m*10^e with 1 <= m < 10^12 and m*10^e < 10^(max_exponent+12)."""
+    return st.builds(
+        lambda m, e: f"{m}e{e}",
+        st.integers(1, 10**12 - 1),
+        st.integers(-12, max_exponent),
+    )
+
+
+def reference(digits, *values):
+    """An mpmath context precise enough that (2x+1)z is resolved to 2*digits.
+
+    The largest argument has about log10|x| + log10|z| integer digits; mpmath
+    needs those on top of twice the digits checked.
+    """
+    mp = MPContext()
+    mp.dps = 2 * digits + 30 + sum(int(mp.log10(abs(mp.mpf(v)) + 1)) for v in values)
+    return mp
+
+
+class TestClosedFormDifferential:
+    """Both closed forms at decimal x and z up to 10^500, against mpmath."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=decimals(488), z=decimals(488), digits=st.integers(30, 80), sign=st.sampled_from((1, -1)))
+    def test_dirichlet(self, x, z, digits, sign):
+        z = z if sign > 0 else "-" + z
+        got = fh.dirichlet_kernel(x, z, fh.make_context(digits))
+        mp = reference(digits, x, z)
+        xv, zv = mp.mpf(x), mp.mpf(z)
+        want = mp.sin((2 * xv + 1) * zv) / mp.sin(zv)
+        assert got.sum_form is None
+        assert abs(got.closed_form - want) <= mp.mpf(10) ** -digits * abs(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x=st.one_of(st.integers(0, 200), st.integers(fh.SUM_FORM_MAX_ORDER + 1, 10**500)),
+        z=decimals(488),
+        digits=st.integers(30, 80),
+    )
+    def test_fejer(self, x, z, digits):
+        got = fh.fejer_kernel(x, z, fh.make_context(digits))
+        mp = reference(digits, x, z)
+        zv = mp.mpf(z)
+        want = mp.sin((x + 1) * zv) ** 2 / mp.sin(zv) ** 2
+        assert abs(got.closed_form - want) <= mp.mpf(10) ** -digits * abs(want)
+        assert (got.sum_form is None) == (x > fh.SUM_FORM_MAX_ORDER)
+
+
+class TestExactArguments:
+    def test_argument_types_agree(self, ctx50):
+        # an mpf is taken at its exact binary value, so every spelling of the
+        # same rational gives the same closed form
+        z = ctx50.mpf("0.75")
+        values = {fh.dirichlet_kernel(3, arg, ctx50).closed_form for arg in (z, Fraction(3, 4), "0.75", "3/4")}
+        assert len(values) == 1
+
+    def test_order_above_cap_has_no_sum_form(self, ctx50):
+        x = fh.SUM_FORM_MAX_ORDER + 1
+        for kernel, bound in ((fh.dirichlet_kernel, 2 * x + 1), (fh.fejer_kernel, (x + 1) ** 2)):
+            k = kernel(x, 1, ctx50)
+            assert k.sum_form is None and k.abs_bound == bound
+
+    @pytest.mark.parametrize("tail, singular", [("e-60", True), ("e-30", True), ("e-20", False)])
+    def test_singular_rule_on_the_reduced_residue(self, ctx50, tail, singular):
+        # z = 7 pi + 10^-k; singular when the residue is below 10^-25
+        mp = MPContext()
+        mp.dps = 120
+        z = Fraction(mp.nstr(7 * mp.pi, 110)) + Fraction("1" + tail)
+        if singular:
+            with pytest.raises(fh.SingularArgumentError):
+                fh.dirichlet_kernel(2, z, ctx50)
+        else:
+            assert fh.dirichlet_kernel(2, z, ctx50).sum_form is not None
+
+    def test_non_finite_rejected(self, ctx50):
+        for z in (ctx50.mpf("inf"), "nan", float("inf")):
+            with pytest.raises(fh.DomainError):
+                fh.dirichlet_kernel(2, z, ctx50)
 
 
 class TestRealTechnique:

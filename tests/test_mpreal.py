@@ -1,8 +1,12 @@
 import math
 import random
+from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 
 import flinthills as fh
 from flinthills.mpreal import pi_scaled, sincos_pi_rational_plus_int
@@ -85,6 +89,14 @@ class TestPi:
         mp.dps = digits + 50
         assert _pi_machin_scaled(digits) == int(mp.floor(mp.pi * mp.mpf(10) ** digits))
 
+    @pytest.mark.parametrize("digits", [5000, 20000, 40000])
+    def test_chudnovsky_within_one_deep(self, digits):
+        from flinthills.mpreal import _pi_chudnovsky_scaled
+
+        mp = MPContext()
+        mp.dps = digits + 50
+        assert abs(_pi_chudnovsky_scaled(digits) - int(mp.floor(mp.pi * mp.mpf(10) ** digits))) <= 1
+
     def test_series_disagreement_raises(self, monkeypatch):
         import flinthills.mpreal as mpreal
 
@@ -153,29 +165,58 @@ class TestSinInt:
         for c in convs:
             residue = c.p - pi * c.q
             direct = fh.sin_int(c.p, big)
-            via_residue = fh.sin_real(residue, big)
+            via_residue = big._mp.sin(residue)
             if c.q % 2:
                 via_residue = -via_residue
             assert abs(direct - via_residue) < tol
             assert abs(direct) <= abs(residue) + tol
 
 
-class TestRealOps:
-    def test_quarter_period(self, ctx50):
-        pi = fh.pi_const(ctx50)
-        assert abs(fh.sin_real(pi / 2, ctx50) - 1) < ctx50.mpf(10) ** (-80)
-        assert fh.cos_real(0, ctx50) == 1
+_REFERENCE = MPContext()
+_REFERENCE.dps = 2000
+_PI_NUMERATORS = [c.p for c in fh.constant_convergents("pi", 880) if c.p.bit_length() <= 1500]
 
-    def test_double_oracle(self, ctx50):
-        assert abs(float(fh.sin_real(1, ctx50)) - math.sin(1)) < 1e-15
-        assert abs(float(fh.ln_real(7, ctx50)) - math.log(7)) < 1e-15
 
-    def test_ln_edges(self, ctx50):
-        assert fh.ln_real(1, ctx50) == 0
-        with pytest.raises(fh.DomainError):
-            fh.ln_real(0, ctx50)
-        with pytest.raises(fh.DomainError):
-            fh.ln_real(-2, ctx50)
+class TestSinCosDifferential:
+    """sin_int and cos_int against mpmath at 2,000 digits.
+
+    Exact rationals of up to 1,500 bits, pi's convergent numerators (where
+    sin is as small as ~1/p) and fractions with decimal denominators, down
+    to arguments far below one.
+    """
+
+    @staticmethod
+    def check(m, digits):
+        ctx = fh.make_context(digits)
+        arg = _REFERENCE.mpf(m.numerator) / m.denominator if isinstance(m, Fraction) else _REFERENCE.mpf(m)
+        tol = _REFERENCE.mpf(10) ** -digits
+        for got, want in ((fh.sin_int(m, ctx), _REFERENCE.sin(arg)), (fh.cos_int(m, ctx), _REFERENCE.cos(arg))):
+            assert abs(got - want) <= tol * abs(want), (m, digits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(min_value=-(2**1500), max_value=2**1500), digits=st.integers(30, 120))
+    def test_integers(self, m, digits):
+        self.check(m, digits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(0, len(_PI_NUMERATORS) - 1), digits=st.integers(30, 120))
+    def test_convergent_numerators(self, k, digits):
+        self.check(_PI_NUMERATORS[k], digits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num=st.integers(min_value=-(2**1500), max_value=2**1500).filter(lambda n: n != 0),
+        places=st.integers(0, 600),
+        digits=st.integers(30, 120),
+    )
+    def test_decimal_fractions(self, num, places, digits):
+        self.check(Fraction(num, 10**places), digits)
+
+    def test_integer_reduction_unchanged(self, ctx50):
+        # an int and the equal Fraction reduce at the same scale, bit for bit
+        for m in (3, 355, -104348, 2**200 + 1):
+            assert fh.sin_int(m, ctx50) == fh.sin_int(Fraction(m), ctx50)
+            assert fh.cos_int(m, ctx50) == fh.cos_int(Fraction(m), ctx50)
 
 
 class TestShiftedArgumentReduction:
