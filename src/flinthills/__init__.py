@@ -39,7 +39,6 @@ from .errors import (
 )
 from .kernels import (
     SUM_FORM_MAX_ORDER,
-    BoundReport,
     KernelEval,
     ShiftSequenceTerm,
     cf_technique_check,

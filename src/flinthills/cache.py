@@ -2,8 +2,8 @@
 
 One text document per constant: a short header (constant, precision, term
 count, checksum) followed by the terms.  The checksum covers the canonical
-space-joined term string.  Entries computed at lower precision than requested
-are ignored rather than trusted, and corrupt ones are misses.  Entries are
+space-joined term string.  Certified quotients are correct at any precision,
+so an entry with enough terms is a hit; a corrupt one is a miss.  Entries are
 replaced atomically; concurrent writers are not coordinated beyond that, and
 the last rename wins.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .contfrac import PartialQuotients
@@ -22,15 +21,6 @@ from .errors import CacheError
 CACHE_ENV = "FLINTHILLS_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".diophantine-cache"
 _MAGIC = "flinthills-cache 1"
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    constant_id: str
-    precision_digits: int
-    term_count: int
-    terms: tuple[int, ...]
-    checksum: str
 
 
 def cache_dir(directory=None) -> Path:
@@ -75,7 +65,7 @@ def write_entry(pq: PartialQuotients, directory=None) -> Path:
     return path
 
 
-def read_entry(constant_id: str, directory=None) -> CacheEntry | None:
+def read_entry(constant_id: str, directory=None) -> PartialQuotients | None:
     """Load and validate a cache entry; None when absent."""
     path = entry_path(constant_id, directory)
     if not path.exists():
@@ -100,29 +90,14 @@ def read_entry(constant_id: str, directory=None) -> CacheEntry | None:
         raise CacheError(f"{path}: term count {len(terms)} != declared {count}")
     if _digest(_payload(terms)) != checksum:
         raise CacheError(f"{path}: checksum mismatch")
-    return CacheEntry(
-        constant_id=constant_id,
-        precision_digits=precision,
-        term_count=count,
-        terms=terms,
-        checksum=checksum,
-    )
+    return PartialQuotients(constant_id=constant_id, terms=terms, source_precision=precision)
 
 
-def load_quotients(constant_id: str, min_terms: int, min_precision: int = 0, directory=None) -> PartialQuotients | None:
-    """Cached quotients when fresh enough, else None; a corrupt entry is a miss, with a warning."""
+def load_quotients(constant_id: str, min_terms: int, directory=None) -> PartialQuotients | None:
+    """Cached quotients if there are at least min_terms, else None; a corrupt entry is a miss, with a warning."""
     try:
-        entry = read_entry(constant_id, directory)
+        pq = read_entry(constant_id, directory)
     except CacheError as exc:
         print(f"warning: ignoring cache entry {exc}", file=sys.stderr)
         return None
-    if entry is None:
-        return None
-    if entry.term_count < min_terms or entry.precision_digits < min_precision:
-        return None
-    return PartialQuotients(
-        constant_id=constant_id,
-        terms=entry.terms,
-        source_precision=entry.precision_digits,
-        exhausted=False,
-    )
+    return pq if pq is not None and len(pq.terms) >= min_terms else None

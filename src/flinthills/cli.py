@@ -133,27 +133,17 @@ def _emit(out, args, rows: list[dict], digits: int) -> int:
     return 0
 
 
-def _auto_digits(args, terms: int) -> int:
-    if args.digits is not None:
-        return args.digits
-    return max(DEFAULT_DIGITS, contfrac.digits_for_terms(terms))
-
-
-def _resolve_fixture(name_or_path, default_name: str) -> Path:
-    if name_or_path is not None:
-        given = Path(name_or_path)
-        if given.exists():
-            return given
-        candidate = resources.files("flinthills").joinpath(f"fixtures/{given.name}")
-        if candidate.is_file():
-            return Path(str(candidate))
-        raise FlintHillsError(f"fixture not found: {name_or_path}")
-    return Path(str(resources.files("flinthills").joinpath(f"fixtures/{default_name}")))
+def _resolve_fixture(path, default_name: str) -> Path:
+    if path is None:
+        return Path(str(resources.files("flinthills").joinpath(f"fixtures/{default_name}")))
+    if not Path(path).is_file():
+        raise FlintHillsError(f"fixture not found: {path}")
+    return Path(path)
 
 
 def _quotients_for(args, terms: int, use_cache: bool = False):
     if use_cache:
-        cached = cache_mod.load_quotients(args.constant, terms, min_precision=0)
+        cached = cache_mod.load_quotients(args.constant, terms)
         if cached is not None:
             return cached
     pq = contfrac.expand_constant(args.constant, terms, args.digits)
@@ -174,7 +164,7 @@ def _cmd_expand(args, out):
     if args.cache_write:
         cache_mod.write_entry(pq)
     rows = [{"k": i, "a": a} for i, a in enumerate(pq.terms)]
-    return _emit(out, args, rows, _auto_digits(args, args.terms))
+    return _emit(out, args, rows, 30)
 
 
 def _cmd_convergents(args, out):
@@ -220,8 +210,8 @@ def _cmd_kernel(args, out):
     if args.type == "cf":
         if args.d is None:
             raise FlintHillsError("--d is required for --type cf")
-        report = kernels.cf_technique_check(args.d, args.m_max, ctx)
-        return _emit(out, args, _rows(report.rows, index="m"), args.digits)
+        table = kernels.cf_technique_check(args.d, args.m_max, ctx)
+        return _emit(out, args, _rows(table, index="m"), args.digits)
     if args.x is None or args.z is None:
         raise FlintHillsError("--x and --z are required for kernel evaluation")
     x = _exact_arg("--x", args.x)
@@ -241,22 +231,10 @@ def _cmd_kernel(args, out):
 def _cmd_shift(args, out):
     ctx = make_context(args.digits)
     if args.technique == "integer":
-        report = kernels.recip_sin_bound_integer_technique(args.n_max, ctx)
-        return _emit(out, args, _rows(report.rows, index="n"), args.digits)
-    report = kernels.recip_sin_bound_real_technique(args.n_max, ctx)
-    rows = [
-        {
-            "n": r.index,
-            "p": r.p,
-            "v2": r.v2,
-            "w_odd": r.w % 2 == 1,
-            "shift_residual": max(r.sin_residual, r.cos_residual),
-            "recip_sin": r.recip_sin,
-            "ratio": r.ratio,
-        }
-        for r in report.rows
-    ]
-    return _emit(out, args, rows, args.digits)
+        table = kernels.recip_sin_bound_integer_technique(args.n_max, ctx)
+    else:
+        table = kernels.recip_sin_bound_real_technique(args.n_max, ctx)
+    return _emit(out, args, _rows(table, index="n"), args.digits)
 
 
 def _cmd_recip_sin(args, out):

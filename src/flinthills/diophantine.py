@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .contfrac import cached_expansion, constant_value, convergents, digits_for_terms
+from .contfrac import cached_expansion, constant_value, convergents, digits_for_terms, expand
 from .errors import DomainError, UndefinedMeasureError
 from .mpreal import RealContext, make_context
 
@@ -87,8 +87,6 @@ def _resolve(alpha, n_max: int, ctx: RealContext | None):
         return constant_value(alpha, work), convs, work
     if ctx is None:
         raise DomainError("a context is required when alpha is given as a value")
-    from .contfrac import expand  # local import to avoid cycle at import time
-
     pq = expand(alpha, n_max + 1, ctx)
     convs = convergents(pq, min(n_max + 1, len(pq.terms)))
     return ctx._mp.mpf(alpha), convs, ctx

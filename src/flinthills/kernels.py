@@ -78,13 +78,6 @@ class KernelEval:
     abs_bound: object | None
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    technique: str
-    rows: tuple
-    summary: dict
-
-
 def shift_term(p: int, ctx: RealContext, index: int = 0) -> ShiftSequenceTerm:
     """Shift-sequence term for a convergent numerator p >= 1.
 
@@ -205,7 +198,7 @@ def fejer_kernel(x: int, z, ctx: RealContext) -> KernelEval:
 
 
 # ---------------------------------------------------------------------------
-# reciprocal-sine bound reports over the convergent numerators
+# reciprocal-sine bound tables over the convergent numerators
 # ---------------------------------------------------------------------------
 
 
@@ -214,42 +207,30 @@ class RealTechniqueRow:
     index: int
     p: int
     v2: int
-    w: int
+    w_odd: bool  # w = (2^(2+2v)+1) p^2 / 2^(2v) is odd
+    shift_residual: object  # the larger of the two shift-identity residuals
     recip_sin: object
     ratio: object  # (1/|sin p|) / p
-    sin_residual: object
-    cos_residual: object
 
 
-def recip_sin_bound_real_technique(n_max: int, ctx: RealContext) -> BoundReport:
-    """Per-convergent ratio (1/|sin p_n|)/p_n and shift-identity residuals."""
-    convs = constant_convergents("pi", n_max)
+def recip_sin_bound_real_technique(n_max: int, ctx: RealContext) -> list[RealTechniqueRow]:
+    """Per-convergent ratio (1/|sin p_n|)/p_n and shift-identity residual."""
     rows = []
-    max_ratio = ctx._mp.mpf(0)
-    max_res = ctx._mp.mpf(0)
-    for c in convs[:n_max]:
+    for c in constant_convergents("pi", n_max):
         term = shift_term(c.p, ctx, index=c.index + 1)
         recip = 1 / sin_int(c.p, ctx)
-        ratio = abs(recip) / c.p
-        max_ratio = max(max_ratio, ratio)
-        max_res = max(max_res, term.sin_residual, term.cos_residual)
         rows.append(
             RealTechniqueRow(
-                index=c.index + 1,
+                index=term.index,
                 p=c.p,
                 v2=term.v2,
-                w=term.w,
+                w_odd=term.w % 2 == 1,
+                shift_residual=max(term.sin_residual, term.cos_residual),
                 recip_sin=recip,
-                ratio=ratio,
-                sin_residual=term.sin_residual,
-                cos_residual=term.cos_residual,
+                ratio=abs(recip) / c.p,
             )
         )
-    return BoundReport(
-        technique="real-shift",
-        rows=tuple(rows),
-        summary={"max_ratio": max_ratio, "max_shift_residual": max_res},
-    )
+    return rows
 
 
 @dataclass(frozen=True)
@@ -274,28 +255,19 @@ def _floor_shift_parameter(p: int, ctx: RealContext) -> int:
     return scaled // scale
 
 
-def recip_sin_bound_integer_technique(n_max: int, ctx: RealContext) -> BoundReport:
-    """Same report with the shift parameter truncated to an integer.
+def recip_sin_bound_integer_technique(n_max: int, ctx: RealContext) -> list[IntegerTechniqueRow]:
+    """Same table with the shift parameter truncated to an integer.
 
     Records |sin((2 floor(x_n) + 1) p_n)| per row; the minimum over rows is
     the empirical content of the claimed lower bound.
     """
-    convs = constant_convergents("pi", n_max)
     rows = []
-    min_abs = None
-    for c in convs[:n_max]:
+    for c in constant_convergents("pi", n_max):
         fx = _floor_shift_parameter(c.p, ctx)
         arg = (2 * fx + 1) * c.p
-        val = abs(sin_int(arg, ctx))
-        min_abs = val if min_abs is None else min(min_abs, val)
-        rows.append(
-            IntegerTechniqueRow(index=c.index + 1, p=c.p, floor_x=fx, argument=arg, abs_sin=val)
-        )
-    return BoundReport(
-        technique="integer-shift",
-        rows=tuple(rows),
-        summary={"min_abs_sin": min_abs},
-    )
+        abs_sin = abs(sin_int(arg, ctx))
+        rows.append(IntegerTechniqueRow(index=c.index + 1, p=c.p, floor_x=fx, argument=arg, abs_sin=abs_sin))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -309,11 +281,11 @@ class CfTechniqueRow:
     abs_sin: object  # |sin(2 pi value)|
 
 
-def cf_technique_check(d: int, m_max: int, ctx: RealContext) -> BoundReport:
+def cf_technique_check(d: int, m_max: int, ctx: RealContext) -> list[CfTechniqueRow]:
     """Audit of the continued-fraction shift over sqrt(alpha) = 1/(2 d^(1/4)).
 
     Requires d > 16 pi^4 so that 2 sqrt(alpha) <= 1/(2 pi).  For each
-    convergent u_m/v_m of sqrt(alpha) the report carries
+    convergent u_m/v_m of sqrt(alpha) the row carries
     X = alpha v_m^2 - u_m^2 + v_m/(2 pi), its distance to the nearest integer
     (the quantity that controls |sin(2 pi X)|), and the per-row flag
     distance < 1/(2 pi).  The raw X grows like v_m/(2 pi); only its distance
@@ -337,13 +309,10 @@ def cf_technique_check(d: int, m_max: int, ctx: RealContext) -> BoundReport:
     two_pi = 2 * pi_const(work)
     inv_two_pi = 1 / two_pi
     rows = []
-    ok_count = 0
     for m in range(1, m_max + 1):
         c = convs[m]  # skip the degenerate integer-part convergent 0/1
         value = alpha * c.q * c.q - c.p * c.p + c.q * inv_two_pi
         distance = abs(value - wmp.nint(value))
-        within = bool(distance < inv_two_pi)
-        ok_count += within
         abs_sin = wmp.sin(two_pi * distance)  # |sin(2 pi value)|, as distance <= 1/2
         rows.append(
             CfTechniqueRow(
@@ -352,12 +321,8 @@ def cf_technique_check(d: int, m_max: int, ctx: RealContext) -> BoundReport:
                 v=c.q,
                 value=value,
                 distance=distance,
-                within_bound=within,
+                within_bound=bool(distance < inv_two_pi),
                 abs_sin=abs_sin,
             )
         )
-    return BoundReport(
-        technique="continued-fraction-shift",
-        rows=tuple(rows),
-        summary={"d": d, "rows_within_bound": ok_count, "rows_total": len(rows)},
-    )
+    return rows

@@ -89,18 +89,20 @@ class _CompensatedSum:
         return abs(self.carry)
 
 
-def _power(mp, base, exponent):
-    """base**exponent, exact-integer path when the exponent is integral."""
-    if isinstance(exponent, int):
-        return mp.mpf(base) ** exponent if not isinstance(base, int) else mp.mpf(base**exponent)
-    e = mp.mpf(exponent)
-    if e == int(e):
-        ei = int(e)
-        return mp.mpf(base**ei) if isinstance(base, int) else mp.mpf(base) ** ei
-    b = mp.mpf(base)
-    if b < 0:
-        raise DomainError("negative base with non-integer exponent")
-    return mp.power(b, e)
+# n**k is built as an exact integer (then rounded once) only below this many
+# bits; a larger power is rounded at every step of mpmath's own power
+EXACT_POWER_BITS = 1 << 20
+
+
+def _power(mp, n: int, u):
+    """n**u for a positive int index n."""
+    e = mp.mpf(u)
+    if e != int(e):
+        return mp.power(mp.mpf(n), e)
+    k = int(e)
+    if k * n.bit_length() < EXACT_POWER_BITS:
+        return mp.mpf(n**k)
+    return mp.mpf(n) ** k
 
 
 def _sin_power(mp, s, v):
@@ -354,7 +356,7 @@ def recip_sin_table(n_max: int, ctx: RealContext) -> list[RecipSinRow]:
     """Rows (p_n, 1/sin p_n, 1/sin(1/p_n), sin p_n / sin(1/p_n))."""
     mp = ctx._mp
     rows = []
-    for c in constant_convergents("pi", n_max)[:n_max]:
+    for c in constant_convergents("pi", n_max):
         s = sin_int(c.p, ctx)
         s_inv = mp.sin(mp.mpf(1) / c.p)
         rows.append(
@@ -410,7 +412,7 @@ def gamma_reflection_table(n_max: int, ctx: RealContext, cross_check: bool = Tru
     mp = ctx._mp
     pi_val = pi_const(ctx)
     rows = []
-    for c in constant_convergents("pi", n_max)[:n_max]:
+    for c in constant_convergents("pi", n_max):
         s = sin_int(c.p, ctx)
         reflection = pi_val / s
         scaled_ratio = pi_val**2 / (c.p * s)

@@ -2,14 +2,21 @@ import contextlib
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
+import flinthills
 from flinthills.cli import run
 
 
@@ -120,6 +127,66 @@ class TestKernelFuzz:
             assert text.count("\n") == (code == 1)
 
 
+_INT_TOKENS = [str(i) for i in range(-3, 41)] + ["1e3", "abc", ""]
+_INT = st.sampled_from(_INT_TOKENS)
+_REAL = st.one_of(st.sampled_from(["inf", "nan", "0", "-1", "1e18", "1e400"]), _INT)
+_SWITCH = st.none()  # a flag that takes no value
+_CONSTANT = st.sampled_from(["pi", "sqrt2", "golden", "cbrt2"])
+_COMMON = {"--digits": _INT, "--format": st.sampled_from(["plain", "csv", "json"]), "--full": _SWITCH}
+
+
+def _series_flags(family):
+    flags = {"--u": _REAL, "--v": _REAL, "--points": st.lists(_INT, max_size=3).map(",".join),
+             "--report": _SWITCH, **_COMMON}
+    if family == "alpha-pi":
+        flags |= {"--alpha": _CONSTANT, "--measure": _REAL}
+    if family.startswith("flat"):
+        flags |= {"--arg": st.sampled_from(["nearest", "frac"]), "--flat-base": _INT}
+    return ["series", family], {"--limit": _INT}, flags
+
+
+# subcommand -> (leading argv, flags always given, flags sometimes given)
+_FUZZ = {
+    "expand": (["expand"], {"--terms": _INT}, {"--constant": _CONSTANT, "--cache-write": _SWITCH, **_COMMON}),
+    "convergents": (["convergents"], {"--terms": _INT},
+                    {"--constant": _CONSTANT, "--cache-read": _SWITCH, **_COMMON}),
+    "measure": (["measure"], {}, {"--constant": _CONSTANT, "--terms": _INT, **_COMMON}),
+    "audit": (["audit"], {}, {"--constant": _CONSTANT, "--n-max": _INT, "--start": _INT, **_COMMON}),
+    "shift": (["shift"], {}, {"--n-max": _INT, "--technique": st.sampled_from(["real", "integer"]), **_COMMON}),
+    "recip-sin": (["recip-sin"], {}, {"--n-max": _INT, **_COMMON}),
+    "gamma-reflect": (["gamma-reflect"], {}, {"--n-max": _INT, "--no-cross-check": _SWITCH, **_COMMON}),
+    **{f"series-{f}": _series_flags(f) for f in ("flint", "lacunary", "alpha-pi", "flat-power", "flat-scaled")},
+    "stats": (["stats"], {}, {"--constant": _CONSTANT, "--terms": _INT, "--histogram": _SWITCH, **_COMMON}),
+    "verify": (["verify"], {"--sequence": st.sampled_from(["numerators", "denominators", "lacunary"])},
+               {"--terms": _INT, "--fixture": st.sampled_from(["/nonexistent/A002485.txt", ""]), **_COMMON}),
+}
+
+
+class TestCommandFuzz:
+    """Small hostile flag values on every other subcommand: an answer or one error line."""
+
+    @pytest.mark.parametrize("command", list(_FUZZ))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes(self, command, data, tmp_path_factory):
+        lead, required, optional = _FUZZ[command]
+        flags = data.draw(st.fixed_dictionaries(required, optional=optional))
+        argv = lead + [k if v is None else f"{k}={v}" for k, v in flags.items()]
+        err = io.StringIO()
+        cache = {"FLINTHILLS_CACHE_DIR": str(tmp_path_factory.getbasetemp() / "fuzz-cache")}
+        with mock.patch.dict(os.environ, cache), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(argv)
+        text = err.getvalue()
+        assert code in (0, 1, 2) and not caught
+        assert "Traceback" not in text
+        if code == 2:  # argparse: usage, then one error line
+            assert text.splitlines()[-1].startswith(f"flinthills {lead[0]}: error:")
+        elif code == 1:
+            assert text.count("\n") == 1 and text.startswith("error: ")
+
+
 class TestFormats:
     def test_csv_json_numeric_identity(self):
         _, csv_text = run_cli(["measure", "--terms", "6", "--format", "csv"])
@@ -204,6 +271,23 @@ class TestSeriesCommand:
                              "--points", "10,400,1000", "--format", "csv"])
         assert code == 0
         assert [row["x"] for row in csv.DictReader(io.StringIO(out))] == ["10", "400", "1000"]
+
+    def test_huge_integral_exponent_is_bounded(self):
+        # n**u is built exactly only while it is small; a cold process capped
+        # at 2 GB of address space must answer within 5 s
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(flinthills.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "flinthills.cli", "series", "flint", "--u", "1e18", "--limit", "2",
+             "--format", "json"],
+            capture_output=True, text=True, timeout=5, env=env, preexec_fn=cap,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        row = json.loads(proc.stdout)
+        assert row["largest_term_index"] == 1 and abs(row["value"] - 1.41228) < 1e-5
 
     def test_convergence_report(self):
         code, out = run_cli(["series", "flint", "--u", "3", "--v", "2",
@@ -312,10 +396,12 @@ class TestVerifyCommand:
         assert rows[0]["passed"] is False
         assert rows[1]["fixture"] == "index 4"
 
-    def test_missing_fixture_is_domain_error(self):
-        code, _ = run_cli(["verify", "--sequence", "numerators",
-                           "--fixture", "/nonexistent/path.txt"])
-        assert code == 1
+    # an explicit path is never swapped for the bundled file of the same name
+    @pytest.mark.parametrize("path", ["/nonexistent/path.txt", "/nonexistent/A002485.txt", ""])
+    def test_missing_fixture_is_domain_error(self, path, capsys):
+        code, out = run_cli(["verify", "--sequence", "numerators", "--fixture", path])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: fixture not found: {path}\n"
 
 
 class TestExpandAndCache:

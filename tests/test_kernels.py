@@ -214,24 +214,24 @@ class TestExactArguments:
 
 class TestRealTechnique:
     def test_report_rows(self, ctx50):
-        report = fh.recip_sin_bound_real_technique(25, ctx50)
-        assert len(report.rows) == 25
-        row1, row4 = report.rows[0], report.rows[3]
+        rows = fh.recip_sin_bound_real_technique(25, ctx50)
+        assert len(rows) == 25
+        row1, row4 = rows[0], rows[3]
         assert abs(float(row1.ratio) - 7.086167395737187 / 3) < 1e-10
         assert abs(float(row4.ratio) - 33173.71 / 355) < 0.01
-        assert float(report.summary["max_shift_residual"]) < 1e-20
+        assert float(max(r.shift_residual for r in rows)) < 1e-20
 
     def test_residuals_tiny_at_50_digits(self, ctx50):
-        report = fh.recip_sin_bound_real_technique(25, ctx50)
-        for row in report.rows:
-            assert float(row.sin_residual) < 1e-20
-            assert float(row.cos_residual) < 1e-20
+        for row in fh.recip_sin_bound_real_technique(25, ctx50):
+            # the larger of the sine and cosine residuals
+            assert float(row.shift_residual) < 1e-20
+            term = fh.shift_term(row.p, ctx50)
+            assert row.shift_residual == max(term.sin_residual, term.cos_residual)
 
 
 class TestIntegerTechnique:
     def test_small_cases(self, ctx50):
-        report = fh.recip_sin_bound_integer_technique(2, ctx50)
-        by_p = {r.p: r for r in report.rows}
+        by_p = {r.p: r for r in fh.recip_sin_bound_integer_technique(2, ctx50)}
         assert by_p[3].floor_x == 11
         assert by_p[3].argument == 69
         assert abs(float(by_p[3].abs_sin) - abs(math.sin(69))) < 1e-14
@@ -244,8 +244,8 @@ class TestIntegerTechnique:
         assert abs(float(fh.sin_int(2 * floor_x + 1, ctx50)) - math.sin(7)) < 1e-14
 
     def test_minimum_in_unit_interval(self, ctx50):
-        report = fh.recip_sin_bound_integer_technique(25, ctx50)
-        m = float(report.summary["min_abs_sin"])
+        rows = fh.recip_sin_bound_integer_technique(25, ctx50)
+        m = float(min(r.abs_sin for r in rows))
         assert 0 < m <= 1
 
 
@@ -255,26 +255,25 @@ class TestCfTechnique:
             fh.cf_technique_check(1558, 5, ctx50)
 
     def test_d1559_distances(self, ctx50):
-        report = fh.cf_technique_check(1559, 10, ctx50)
-        assert len(report.rows) == 10
-        got = [round(float(r.distance), 6) for r in report.rows]
+        rows = fh.cf_technique_check(1559, 10, ctx50)
+        assert len(rows) == 10
+        got = [round(float(r.distance), 6) for r in rows]
         assert got == [
             0.178383, 0.139063, 0.063845, 0.037938, 0.087398,
             0.068231, 0.079099, 0.051564, 0.046160, 0.109033,
         ]
         # the first convergent misses the 1/(2 pi) distance bound; the rest meet it
-        assert [r.within_bound for r in report.rows] == [False] + [True] * 9
-        assert report.summary["rows_within_bound"] == 9
+        assert [r.within_bound for r in rows] == [False] + [True] * 9
+        assert sum(r.within_bound for r in rows) == 9
 
     def test_large_d_runs(self, ctx50):
-        report = fh.cf_technique_check(10**6, 5, ctx50)
-        assert len(report.rows) == 5
-        for r in report.rows:
+        rows = fh.cf_technique_check(10**6, 5, ctx50)
+        assert len(rows) == 5
+        for r in rows:
             assert 0 <= float(r.distance) <= 0.5
 
     def test_sin_matches_distance(self, ctx50):
         # |sin(2 pi X)| = sin(2 pi * distance-to-nearest-integer)
-        report = fh.cf_technique_check(1559, 6, ctx50)
-        for r in report.rows:
+        for r in fh.cf_technique_check(1559, 6, ctx50):
             expected = abs(math.sin(2 * math.pi * float(r.distance)))
             assert abs(float(r.abs_sin) - expected) < 1e-9

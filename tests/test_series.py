@@ -86,6 +86,20 @@ class TestFlintPartialSum:
         with pytest.raises(fh.DomainError, match="^series exponents u, v must be positive$"):
             fh.partial_sum(flint_spec(float("nan"), 2, 3), ctx50)
 
+    def test_power_is_exact_below_the_bound(self, ctx50):
+        # below the bound n**k is rounded once from the exact integer; above it
+        # mpmath's rounded power agrees to working precision
+        from flinthills.series import EXACT_POWER_BITS, _power
+
+        mp = ctx50._mp
+        for n in (3, 355, 103993):
+            below = (EXACT_POWER_BITS - 1) // n.bit_length()
+            assert _power(mp, n, float(below)) == mp.mpf(n**below)
+            above = below + 1
+            want = mp.mpf(n**above)
+            assert abs(_power(mp, n, above) - want) <= abs(want) * mp.mpf(10) ** -48
+        assert _power(mp, 2, 2.5) == mp.power(2, 2.5)
+
 
 class TestLacunaryPartialSum:
     def test_single_record_index(self, ctx50):
