@@ -15,11 +15,13 @@ small as ~1/q, and the result must stay relatively accurate there.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from importlib import resources
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_int, mpf_cos, mpf_cos_sin, mpf_div, mpf_neg, mpf_sin
 
 from .errors import CrossCheckError, DomainError, PrecisionError
 
@@ -265,30 +267,38 @@ def reduction_digits(m, ctx: RealContext) -> int:
     return ctx.effective_digits + max(2 * decimal_length(m.numerator), decimal_length(m.denominator))
 
 
-def _reduce_mod_pi(num: int, den: int, m, red: int, ctx: RealContext, want: str):
-    """sin, cos or (sin, cos) of pi*num/den + m, evaluated at its residue r.
+@functools.lru_cache(maxsize=64)
+def _rounded_power_of_ten(red: int, prec: int, rnd: str):
+    """10**red as a raw mpf rounded to prec bits, as mp.mpf(10**red) rounds it."""
+    return from_int(10**red, prec, rnd)
 
-    A shift by pi negates sine and cosine alike, so the values flip sign when
-    q is odd.  want is "sin", "cos" or "sincos".
+
+def _reduce_mod_pi(num: int, den: int, m, red: int, ctx: RealContext, want: str):
+    """sin, cos or (sin, cos) of pi*num/den + m as raw mpf values, evaluated at its residue r.
+
+    r/10**red is formed as mp.mpf(r) / mp.mpf(10**red) forms it: both operands
+    rounded to working precision, then divided.  A shift by pi negates sine
+    and cosine alike, so the values flip sign when q is odd.  want is "sin",
+    "cos" or "sincos".
     """
     q, r = residue_mod_pi(num, den, m, red)
-    mp = ctx._mp
-    x = mp.mpf(r) / mp.mpf(10**red)
+    prec, rnd = ctx._mp._prec_rounding
+    x = mpf_div(from_int(r, prec, rnd), _rounded_power_of_ten(red, prec, rnd), prec, rnd)
     if want == "sincos":
-        cv, sv = mp.cos_sin(x)
-        return (-sv, -cv) if q & 1 else (sv, cv)
-    value = mp.sin(x) if want == "sin" else mp.cos(x)
-    return -value if q & 1 else value
+        cv, sv = mpf_cos_sin(x, prec, rnd)
+        return (mpf_neg(sv, prec, rnd), mpf_neg(cv, prec, rnd)) if q & 1 else (sv, cv)
+    value = mpf_sin(x, prec, rnd) if want == "sin" else mpf_cos(x, prec, rnd)
+    return mpf_neg(value, prec, rnd) if q & 1 else value
 
 
 def sin_int(m, ctx: RealContext):
     """sin(m) for an exact int or Fraction m of any magnitude, reduced exactly modulo pi."""
-    return _reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx, "sin")
+    return ctx._mp.make_mpf(_reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx, "sin"))
 
 
 def cos_int(m, ctx: RealContext):
     """cos(m) for an exact int or Fraction m, by the same reduction as sin_int."""
-    return _reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx, "cos")
+    return ctx._mp.make_mpf(_reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx, "cos"))
 
 
 def sincos_pi_rational_plus_int(num: int, den: int, m: int, ctx: RealContext):
@@ -300,4 +310,5 @@ def sincos_pi_rational_plus_int(num: int, den: int, m: int, ctx: RealContext):
     if den <= 0:
         raise DomainError("denominator must be positive")
     red = ctx.effective_digits + 2 * decimal_length(abs(num) // den + abs(m) + 1) + 2
-    return _reduce_mod_pi(num, den, m, red, ctx, "sincos")
+    sv, cv = _reduce_mod_pi(num, den, m, red, ctx, "sincos")
+    return ctx._mp.make_mpf(sv), ctx._mp.make_mpf(cv)

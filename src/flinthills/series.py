@@ -7,7 +7,11 @@ Hills" sums whose sine argument is the nearest-integer distance or fractional
 part of pi^n or pi*base^n.
 
 Sums run in ascending index with Neumaier-compensated accumulation so results
-are reproducible bit-for-bit at a given precision regardless of platform.
+are reproducible bit-for-bit at a given precision regardless of platform.  The
+summation loop and the sines work on raw mpmath values (``mpmath.libmp``
+tuples) and round every step exactly where the mpf operators would, so they
+return the bits of the same loop over mpf objects without building an object
+per operation; only the result is wrapped as mpf.
 """
 
 from __future__ import annotations
@@ -15,6 +19,24 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_ge,
+    mpf_gt,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_sin,
+    mpf_sub,
+)
 
 from .contfrac import constant_convergents
 from .errors import (
@@ -64,87 +86,78 @@ class ConvergenceDiagnostics:
     last_decade_relative_change: object
 
 
-class _CompensatedSum:
-    """Neumaier-compensated accumulator over context floats."""
-
-    def __init__(self, mp):
-        self._mp = mp
-        self.total = mp.mpf(0)
-        self.carry = mp.mpf(0)
-
-    def add(self, term):
-        t = self.total + term
-        if abs(self.total) >= abs(term):
-            self.carry += (self.total - t) + term
-        else:
-            self.carry += (term - t) + self.total
-        self.total = t
-
-    @property
-    def value(self):
-        return self.total + self.carry
-
-    @property
-    def residual(self):
-        return abs(self.carry)
-
-
 # n**k is built as an exact integer (then rounded once) only below this many
 # bits; a larger power is rounded at every step of mpmath's own power
 EXACT_POWER_BITS = 1 << 20
 
 
-def _power(mp, n: int, u):
-    """n**u for a positive int index n."""
-    e = mp.mpf(u)
-    if e != int(e):
-        return mp.power(mp.mpf(n), e)
-    k = int(e)
-    if k * n.bit_length() < EXACT_POWER_BITS:
-        return mp.mpf(n**k)
-    return mp.mpf(n) ** k
+def _exponent(mp, x):
+    """x as an int when it is integral, else as a raw mpf: how _power and
+    _sin_power take their exponent."""
+    e = mp.mpf(x)
+    return int(e) if e == int(e) else e._mpf_
 
 
-def _sin_power(mp, s, v):
-    """sin_value**v; rejects non-integer v against a negative sine."""
-    e = mp.mpf(v)
-    if e == int(e):
-        return s ** int(e)
-    if s < 0:
+def _power(n: int, u, prec: int, rnd: str):
+    """n**u as a raw mpf for a positive int index n; u as from _exponent."""
+    if type(u) is not int:
+        return mpf_pow(from_int(n, prec, rnd), u, prec, rnd)
+    if u * n.bit_length() < EXACT_POWER_BITS:
+        return from_int(n**u, prec, rnd)
+    return mpf_pow_int(from_int(n, prec, rnd), u, prec, rnd)
+
+
+def _sin_power(s, v, prec: int, rnd: str):
+    """s**v for a raw mpf sine value s; rejects non-integer v against a negative sine."""
+    if type(v) is int:
+        return mpf_pow_int(s, v, prec, rnd)
+    if mpf_lt(s, fzero):
         raise DomainError("non-integer sine exponent with negative sine value")
-    return mp.power(s, e)
+    return mpf_pow(s, v, prec, rnd)
 
 
 def _run_sum(mp, indices, sine, spec, checkpoints=()):
     """The summation loop: sum of 1/(n^u sine(n)^v) over ascending indices.
 
-    u and v come from the spec.  checkpoints, ascending, each get the running
-    sum over the indices at or below them, so a checkpoint between two sparse
-    indices is exact too.  The result covers the limit or the last checkpoint,
-    whichever is larger.
+    u and v come from the spec; sine(n) returns a raw mpf.  The loop runs on
+    raw mpf values and rounds each step as the mpf operators would, so the
+    result is the same bits as the same loop over mpf objects.  Accumulation
+    is Neumaier's compensated sum.  checkpoints, ascending, each get the
+    running sum over the indices at or below them, so a checkpoint between two
+    sparse indices is exact too.  The result covers the limit or the last
+    checkpoint, whichever is larger.
     """
-    u, v = spec.u, spec.v
-    if not (mp.isfinite(u) and mp.isfinite(v)):
+    if not (mp.isfinite(spec.u) and mp.isfinite(spec.v)):
         raise DomainError("series exponents u, v must be finite")
-    acc = _CompensatedSum(mp)
-    largest = None
+    prec, rnd = mp._prec_rounding
+    u, v = _exponent(mp, spec.u), _exponent(mp, spec.v)
+    total = carry = fzero
+    largest = None  # (n, term, |term|)
     running = []
     for n in indices:
         while len(running) < len(checkpoints) and checkpoints[len(running)] < n:
-            running.append((checkpoints[len(running)], acc.value))
+            running.append((checkpoints[len(running)], mpf_add(total, carry, prec, rnd)))
         s = sine(n)
-        term = 1 / (_power(mp, n, u) * _sin_power(mp, s, v))
-        acc.add(term)
-        if largest is None or abs(term) > abs(largest[1]):
-            largest = (n, term)
-    running += [(c, acc.value) for c in checkpoints[len(running):]]
+        den = mpf_mul(_power(n, u, prec, rnd), _sin_power(s, v, prec, rnd), prec, rnd)
+        term = mpf_rdiv_int(1, den, prec, rnd)
+        t = mpf_add(total, term, prec, rnd)
+        size = mpf_abs(term)
+        if mpf_ge(mpf_abs(total), size):
+            carry = mpf_add(carry, mpf_add(mpf_sub(total, t, prec, rnd), term, prec, rnd), prec, rnd)
+        else:
+            carry = mpf_add(carry, mpf_add(mpf_sub(term, t, prec, rnd), total, prec, rnd), prec, rnd)
+        total = t
+        if largest is None or mpf_gt(size, largest[2]):
+            largest = (n, term, size)
+    running += [(c, mpf_add(total, carry, prec, rnd)) for c in checkpoints[len(running):]]
+    make = mp.make_mpf
     return PartialSumResult(
         spec=spec,
         x=max([spec.limit, *checkpoints]),
-        value=acc.value,
-        largest_term=largest,
-        compensation_residual=acc.residual,
-        checkpoints=tuple(running),
+        value=make(mpf_add(total, carry, prec, rnd)),
+        largest_term=None if largest is None else (largest[0], make(largest[1])),
+        compensation_residual=make(mpf_abs(carry, prec, rnd)),
+        checkpoints=tuple((c, make(value)) for c, value in running),
     )
 
 
@@ -164,26 +177,30 @@ def _record_indices(x: int) -> list[int]:
 
 
 def _alpha_pi_sine(alpha, ctx: RealContext):
-    """n -> sin(alpha pi n).
+    """n -> sin(alpha pi n) as a raw mpf.
 
     alpha n is split into integer and fractional parts in exact scaled
     arithmetic before the sine is taken, so pi never multiplies a large n at
-    working precision.  A sine below 10^(5-decimal_digits) cannot be resolved
-    and raises.
+    working precision.  The fractional part is rounded to working precision
+    and divided by the exact scale.  A sine below 10^(5-decimal_digits)
+    cannot be resolved and raises.
     """
     mp = ctx._mp
+    prec, rnd = mp._prec_rounding
     eff = ctx.effective_digits
     scale = 10**eff
+    exact_scale = from_int(scale)
     alpha_scaled = to_scaled(mp.mpf(alpha), eff)
-    pi_val = pi_const(ctx)
-    floor_limit = mp.mpf(10) ** (5 - ctx.decimal_digits)
+    pi_val = pi_const(ctx)._mpf_
+    floor_limit = (mp.mpf(10) ** (5 - ctx.decimal_digits))._mpf_
 
     def sine(n):
         whole, frac = divmod(alpha_scaled * n, scale)
-        s = mp.sin(pi_val * (mp.mpf(frac) / scale))
+        x = mpf_mul(pi_val, mpf_div(from_int(frac, prec, rnd), exact_scale, prec, rnd), prec, rnd)
+        s = mpf_sin(x, prec, rnd)
         if whole & 1:
-            s = -s
-        if abs(s) < floor_limit:
+            s = mpf_neg(s, prec, rnd)
+        if mpf_lt(mpf_abs(s), floor_limit):
             raise PrecisionInsufficientError(
                 f"sin(alpha pi n) below resolution at n={n}; raise precision"
             )
@@ -192,10 +209,25 @@ def _alpha_pi_sine(alpha, ctx: RealContext):
     return sine
 
 
+def _pi_power_digits(n: int, scale_digits: int) -> int:
+    """The scale k of _pi_power_scaled(n, scale_digits)."""
+    return scale_digits + (n * 49715) // 100000 + 8
+
+
 def _pi_power_scaled(n: int, scale_digits: int) -> tuple[int, int]:
-    """(floor(pi^n * 10^k), 10^k) with k sized so the fractional part of pi^n
-    survives; error grows by at most one unit per multiplication."""
-    red = scale_digits + (n * 49715) // 100000 + 8  # n*log10(pi) integer digits
+    """(acc, 10^k) with |acc/10^k - pi^n| < 10^-scale_digits, so the
+    fractional part of pi^n survives to scale_digits digits.
+
+    acc is the chain p, p*p//s, ... of n - 1 floor divisions from
+    p = pi_scaled(k), which lies within two units of pi * 10^k.  Each step
+    multiplies the error so far by about pi, adds pi^j times p's error and
+    less than one unit for the floor, so the error of acc is under
+    (2n + 1) pi^(n-1) units.  k is scale_digits plus floor(n * 0.49715) digits,
+    and n * 0.49715 >= n * log10(pi), so those digits absorb all but one
+    digit of the pi^(n-1) growth; 8 more absorb that digit and the 2n + 1 for
+    any n below 10^7.
+    """
+    red = _pi_power_digits(n, scale_digits)
     s = 10**red
     p = pi_scaled(red)
     acc = p
@@ -204,21 +236,48 @@ def _pi_power_scaled(n: int, scale_digits: int) -> tuple[int, int]:
     return acc, s
 
 
+def _pi_power_chain(scale_digits: int):
+    """n -> _pi_power_scaled(n, scale_digits), carried over from n - 1 at one scale.
+
+    When n - 1 and n share the scale k, acc_n = acc_(n-1) * p // s is the very
+    step _pi_power_scaled takes after reaching acc_(n-1), so the carried value
+    is the same sequence of floors for one multiplication instead of n - 1.
+    A new scale, or an index that does not follow the last, starts afresh.
+    """
+    last = (0, 0, 0, 0, 0)  # n, k, p, acc, s
+
+    def power(n):
+        nonlocal last
+        red = _pi_power_digits(n, scale_digits)
+        m, last_red, p, acc, s = last
+        if n == m + 1 and red == last_red:
+            acc = acc * p // s
+        else:
+            acc, s = _pi_power_scaled(n, scale_digits)
+            p = pi_scaled(red)
+        last = (n, red, p, acc, s)
+        return acc, s
+
+    return power
+
+
 def _flat_sine(spec: SeriesSpec, end: int, ctx: RealContext):
-    """n -> sin of ||pi^n||, ||pi b^n||, {pi^n} or {pi b^n}.
+    """n -> sin of ||pi^n||, ||pi b^n||, {pi^n} or {pi b^n} as a raw mpf.
 
     Each pi^n (or pi b^n) is carried at enough digits that its fractional part
     is exact to working precision before the distance or fractional part is
-    taken.  A term whose argument collapses onto an integer raises.
+    taken; that part is rounded to working precision and divided by the exact
+    scale.  A term whose argument collapses onto an integer raises.
     """
     power, nearest, base = spec.family == "flat_power", spec.variant == "nearest", spec.flat_base
-    mp = ctx._mp
+    prec, rnd = ctx._mp._prec_rounding
     eff = ctx.effective_digits
     singular_tol = 10 ** (ctx.decimal_digits // 2)
+    pi_power = _pi_power_chain(eff)
 
     def sine(n):
         if power:
-            scaled, s = _pi_power_scaled(n, eff)
+            scaled, s = pi_power(n)
         else:
             mult = base**n
             red = eff + decimal_length(mult) + 4
@@ -231,7 +290,7 @@ def _flat_sine(spec: SeriesSpec, end: int, ctx: RealContext):
             raise SingularArgumentError(
                 f"sine argument at n={n} is within tolerance of an integer"
             )
-        return mp.sin(mp.mpf(frac) / s)
+        return mpf_sin(mpf_div(from_int(frac, prec, rnd), from_int(s), prec, rnd), prec, rnd)
 
     if end >= 1 and not power:
         # each term asks for pi at a larger scale than the last; computing the
@@ -247,7 +306,7 @@ def _terms(spec: SeriesSpec, ctx: RealContext, end: int):
         if x < 1:
             raise DomainError("x must be >= 1")
         _check_uv(spec.u, spec.v)
-        return range(1, end + 1), lambda n: sin_int(n, ctx)
+        return range(1, end + 1), lambda n: sin_int(n, ctx)._mpf_
     if spec.family == "lacunary":
         if x < 0:
             raise DomainError("x must be >= 0")
@@ -255,7 +314,7 @@ def _terms(spec: SeriesSpec, ctx: RealContext, end: int):
         indices = _record_indices(end)
         if not indices:
             warnings.warn("no record indices at or below the limit; sum is empty", stacklevel=3)
-        return indices, lambda n: sin_int(n, ctx)
+        return indices, lambda n: sin_int(n, ctx)._mpf_
     if spec.family == "alpha_pi":
         if x < 0:
             raise DomainError("x must be >= 0")

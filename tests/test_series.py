@@ -1,8 +1,12 @@
+import io
 import math
+import time
 
+import mpmath
 import pytest
 
 import flinthills as fh
+from flinthills import cli
 from flinthills.mpreal import sin_int
 
 from conftest import rel_err
@@ -89,16 +93,36 @@ class TestFlintPartialSum:
     def test_power_is_exact_below_the_bound(self, ctx50):
         # below the bound n**k is rounded once from the exact integer; above it
         # mpmath's rounded power agrees to working precision
-        from flinthills.series import EXACT_POWER_BITS, _power
+        from flinthills.series import EXACT_POWER_BITS, _exponent, _power
 
         mp = ctx50._mp
+        prec, rnd = mp._prec_rounding
         for n in (3, 355, 103993):
             below = (EXACT_POWER_BITS - 1) // n.bit_length()
-            assert _power(mp, n, float(below)) == mp.mpf(n**below)
+            assert _power(n, _exponent(mp, float(below)), prec, rnd) == mp.mpf(n**below)._mpf_
             above = below + 1
             want = mp.mpf(n**above)
-            assert abs(_power(mp, n, above) - want) <= abs(want) * mp.mpf(10) ** -48
-        assert _power(mp, 2, 2.5) == mp.power(2, 2.5)
+            got = mp.make_mpf(_power(n, _exponent(mp, above), prec, rnd))
+            assert abs(got - want) <= abs(want) * mp.mpf(10) ** -48
+        assert _power(2, _exponent(mp, 2.5), prec, rnd) == mp.power(2, 2.5)._mpf_
+
+    def test_power_of_an_even_index_is_the_rounded_integer(self, ctx50):
+        # an even n**k is rounded from the full integer without first
+        # stripping its trailing zero bits, and still gives mpmath's value
+        from flinthills.series import _power
+
+        mp = ctx50._mp
+        prec, rnd = mp._prec_rounding
+        for n, k in ((2, 3), (4, 500), (10, 77), (355 * 2**5, 40), (4, 60000)):
+            assert _power(n, k, prec, rnd) == mp.mpf(n**k)._mpf_
+
+    def test_large_even_power_is_fast(self):
+        # u = 300000 puts 2**u, 4**u and 6**u below EXACT_POWER_BITS
+        out = io.StringIO()
+        start = time.perf_counter()
+        assert cli.run(["series", "flint", "--u", "300000", "--limit", "8"], out=out) == 0
+        assert time.perf_counter() - start < 1.0
+        assert out.getvalue()
 
 
 class TestLacunaryPartialSum:
@@ -185,6 +209,30 @@ class TestFlatHills:
         # ||pi^n|| needs ~n/2 extra digits; a 150th power must still resolve
         r = fh.partial_sum(flat_spec("flat_power", "nearest", 2, 2, 150), ctx50)
         assert r.value > 0
+
+    @pytest.mark.parametrize("digits", (50, 120))
+    def test_pi_power_chain_error_bound(self, digits):
+        # the chain is within (2n + 1) pi^(n-1) units of pi^n 10^k, which is
+        # below 10^-eff once divided by 10^k
+        from flinthills.series import _pi_power_scaled
+
+        eff = fh.make_context(digits).effective_digits
+        ref = mpmath.MPContext()
+        for n in range(1, 401):
+            acc, s = _pi_power_scaled(n, eff)
+            ref.dps = 2 * len(str(s))
+            units = abs(acc - ref.pi**n * s)
+            assert units < (2 * n + 1) * ref.pi ** (n - 1)
+            assert units / s < ref.mpf(10) ** -eff
+
+    def test_carried_chain_equals_the_chain_from_scratch(self, ctx50):
+        from flinthills.series import _pi_power_chain, _pi_power_scaled
+
+        eff = ctx50.effective_digits
+        power = _pi_power_chain(eff)
+        carried = [power(n) for n in range(1, 301)]
+        assert carried == [_pi_power_scaled(n, eff) for n in range(1, 301)]
+        assert power(5) == _pi_power_scaled(5, eff)  # an index out of order starts afresh
 
     def test_scaled_fractional_parts(self, ctx50):
         r = fh.partial_sum(flat_spec("flat_scaled", "frac", 2, 1, 2), ctx50)
