@@ -87,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma-reflect", help="gamma reflection products over p_n")
     p.add_argument("--n-max", type=int, default=25)
-    p.add_argument("--no-cross-check", action="store_true",
-                   help="skip the independent gamma product check on the first rows")
     _add_common(p, digits_default=DEFAULT_DIGITS)
 
     p = sub.add_parser("series", help="partial sums of the Flint Hills family")
@@ -181,7 +179,7 @@ def _cmd_measure(args, out):
 
 
 def _cmd_audit(args, out):
-    report = diophantine.inequality_audit(args.constant, (args.start, args.n_max))
+    report = diophantine.inequality_audit(args.constant, (args.start, args.n_max), make_context(args.digits))
     _emit(out, args, _rows(report.rows, index="n"), args.digits)
     print(
         f"dirichlet_ok={report.all_dirichlet_ok} shifted_ok={report.all_shifted_ok} "
@@ -243,9 +241,7 @@ def _cmd_recip_sin(args, out):
 
 
 def _cmd_gamma_reflect(args, out):
-    table = series.gamma_reflection_table(
-        args.n_max, make_context(args.digits), cross_check=not args.no_cross_check
-    )
+    table = series.gamma_reflection_table(args.n_max, make_context(args.digits))
     return _emit(out, args, _rows(table, index="n"), args.digits)
 
 

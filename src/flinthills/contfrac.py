@@ -275,7 +275,10 @@ def reconstruct(pq: PartialQuotients) -> Fraction:
 def parse_bfile(fixture_path) -> dict[int, int]:
     """Parse an OEIS b-file: lines of "index value", '#' comments ignored."""
     entries: dict[int, int] = {}
-    text = Path(fixture_path).read_text(encoding="ascii")
+    try:
+        text = Path(fixture_path).read_text(encoding="ascii")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FixtureFormatError(f"{fixture_path}: not a readable ASCII b-file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -76,12 +76,7 @@ def _resolve(alpha, n_max: int, ctx: RealContext | None):
     """Return (alpha value, convergents to n_max, context), auto-sizing
     precision when alpha is given as a named constant."""
     if isinstance(alpha, str):
-        need = max(
-            digits_for_terms(n_max + 2),
-            ctx.decimal_digits if ctx is not None else 0,
-            50,
-        )
-        work = make_context(need)
+        work = make_context(max(digits_for_terms(n_max + 2), ctx.decimal_digits if ctx is not None else 0))
         pq = cached_expansion(alpha, n_max + 1)
         convs = convergents(pq, n_max + 1)
         return constant_value(alpha, work), convs, work

@@ -438,35 +438,12 @@ class GammaReflectionRow:
     scaled_ratio: object  # pi^2/(p sin p)
 
 
-_EULER_TERMS = 400_000
-
-
-def _gamma_pair_euler(z: float) -> float:
-    """Gamma(1-z) Gamma(z) by Euler's convergent products, in double precision.
-
-    With z = k + w, 0 < w < 1, the n-term products for Gamma(w) and
-    Gamma(1-w) combine into n/(n+1-w) / (w prod_{i=1..n} (1 - w^2/i^2)): the
-    n!^2 cancels and the argument shifts by k multiply to (-1)^k.  Independent
-    of any library gamma.
-    """
-    k = math.floor(z)
-    w = z - k
-    if w == 0.0:
-        raise DomainError("gamma pole")
-    n = _EULER_TERMS
-    w2 = w * w
-    product = 1.0
-    for i in range(1, n + 1):
-        product *= 1 - w2 / (i * i)
-    return (-1) ** k * n / (n + 1 - w) / (w * product)
-
-
-def gamma_reflection_table(n_max: int, ctx: RealContext, cross_check: bool = True) -> list[GammaReflectionRow]:
+def gamma_reflection_table(n_max: int, ctx: RealContext) -> list[GammaReflectionRow]:
     """Rows (Gamma(1-p/pi) Gamma(p/pi), pi^2/(p sin p)) via the reflection identity.
 
-    For the first three rows an independent low-precision evaluation of the
-    gamma product (classical convergent-product formula, double floats) must
-    agree to four digits; disagreement raises.
+    On the first three rows (p = 3, 22, 333) the C library's double-precision
+    gamma, which shares no code with this package or mpmath, must agree with
+    the reflection to a relative 1e-9; disagreement raises CrossCheckError.
     """
     mp = ctx._mp
     pi_val = pi_const(ctx)
@@ -475,9 +452,10 @@ def gamma_reflection_table(n_max: int, ctx: RealContext, cross_check: bool = Tru
         s = sin_int(c.p, ctx)
         reflection = pi_val / s
         scaled_ratio = pi_val**2 / (c.p * s)
-        if cross_check and c.index + 1 <= 3:
-            independent = _gamma_pair_euler(c.p / math.pi)
-            if abs(independent - float(reflection)) > 5e-4 * abs(float(reflection)):
+        if c.index + 1 <= 3:
+            z = c.p / math.pi
+            independent = math.gamma(1 - z) * math.gamma(z)
+            if abs(independent - float(reflection)) > 1e-9 * abs(float(reflection)):
                 raise CrossCheckError(
                     f"gamma product cross-check failed at p={c.p}: "
                     f"{independent} vs {float(reflection)}"

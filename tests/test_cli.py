@@ -87,6 +87,19 @@ class TestHostileInputs:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "content",
+        ["2 3\n3 22\n".encode("utf-16"), "2 3 # π\n".encode(), bytes(range(256))],
+        ids=["utf-16", "utf-8", "binary"],
+    )
+    def test_non_ascii_fixture(self, content, tmp_path, capsys):
+        fixture = tmp_path / "A002485.txt"
+        fixture.write_bytes(content)
+        code, out = run_cli(["verify", "--sequence", "numerators", "--fixture", str(fixture)])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith(f"error: {fixture}: ")
+
 
 def _kernel_tokens():
     number = st.one_of(
@@ -154,7 +167,7 @@ _FUZZ = {
     "audit": (["audit"], {}, {"--constant": _CONSTANT, "--n-max": _INT, "--start": _INT, **_COMMON}),
     "shift": (["shift"], {}, {"--n-max": _INT, "--technique": st.sampled_from(["real", "integer"]), **_COMMON}),
     "recip-sin": (["recip-sin"], {}, {"--n-max": _INT, **_COMMON}),
-    "gamma-reflect": (["gamma-reflect"], {}, {"--n-max": _INT, "--no-cross-check": _SWITCH, **_COMMON}),
+    "gamma-reflect": (["gamma-reflect"], {}, {"--n-max": _INT, **_COMMON}),
     **{f"series-{f}": _series_flags(f) for f in ("flint", "lacunary", "alpha-pi", "flat-power", "flat-scaled")},
     "stats": (["stats"], {}, {"--constant": _CONSTANT, "--terms": _INT, "--histogram": _SWITCH, **_COMMON}),
     "verify": (["verify"], {"--sequence": st.sampled_from(["numerators", "denominators", "lacunary"])},
@@ -360,6 +373,16 @@ class TestKernelAndShiftCommands:
         assert code == 0
         rows = [json.loads(l) for l in out.splitlines()]
         assert rows[0]["floor_x"] == 11 and rows[0]["argument"] == 69
+
+
+class TestAuditCommand:
+    def test_full_digits_follow_digits(self):
+        code, out = run_cli(["audit", "--n-max", "3", "--digits", "200", "--full", "--format", "csv"])
+        assert code == 0
+        row = list(csv.DictReader(io.StringIO(out)))[1]
+        mp = MPContext()
+        mp.dps = 400
+        assert row["error"] == mp.nstr(abs(mp.pi - mp.mpf(22) / 7), 200)
 
 
 class TestStatsCommand:

@@ -138,3 +138,7 @@ class TestFixtureVerification:
         bad.write_text("1 1\nnot a line\n")
         with pytest.raises(fh.FixtureFormatError, match=":2"):
             fh.verify_fixture([1], bad)
+
+    def test_unreadable_fixture(self, tmp_path):
+        with pytest.raises(fh.FixtureFormatError, match="not a readable ASCII b-file"):
+            fh.verify_fixture([1], tmp_path)

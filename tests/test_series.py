@@ -330,13 +330,13 @@ class TestGammaReflectionTable:
 
     def test_internal_identity(self, ctx60):
         pi = fh.pi_const(ctx60)
-        for row in fh.gamma_reflection_table(10, ctx60, cross_check=False):
+        for row in fh.gamma_reflection_table(10, ctx60):
             lhs = row.scaled_ratio
             rhs = row.reflection * pi / row.p
             assert abs(lhs - rhs) <= abs(lhs) * ctx60.mpf(10) ** (-(60 - 2))
 
-    def test_euler_cross_check_runs(self, ctx60):
-        rows = fh.gamma_reflection_table(3, ctx60, cross_check=True)
+    def test_cross_check_runs(self, ctx60):
+        rows = fh.gamma_reflection_table(3, ctx60)
         assert [r.index for r in rows] == [1, 2, 3]
 
     def test_wrong_reflection_fails_the_cross_check(self, ctx60, monkeypatch):
@@ -345,4 +345,10 @@ class TestGammaReflectionTable:
         monkeypatch.setattr(series, "sin_int", lambda n, ctx: -sin_int(n, ctx))
         with pytest.raises(fh.CrossCheckError, match="p=3"):
             fh.gamma_reflection_table(3, ctx60)
-        assert len(fh.gamma_reflection_table(3, ctx60, cross_check=False)) == 3
+
+    def test_cross_check_catches_a_relative_1e_6_error(self, ctx60, monkeypatch):
+        import flinthills.series as series
+
+        monkeypatch.setattr(series, "sin_int", lambda n, ctx: sin_int(n, ctx) * (1 + ctx.mpf("1e-6")))
+        with pytest.raises(fh.CrossCheckError, match="p=3"):
+            fh.gamma_reflection_table(3, ctx60)
