@@ -23,9 +23,7 @@ DEFAULT_CACHE_DIR = ".diophantine-cache"
 _MAGIC = "flinthills-cache 1"
 
 
-def cache_dir(directory=None) -> Path:
-    if directory is not None:
-        return Path(directory)
+def cache_dir() -> Path:
     return Path(os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR))
 
 
@@ -37,13 +35,13 @@ def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def entry_path(constant_id: str, directory=None) -> Path:
-    return cache_dir(directory) / f"{constant_id}.cfcache"
+def entry_path(constant_id: str) -> Path:
+    return cache_dir() / f"{constant_id}.cfcache"
 
 
-def write_entry(pq: PartialQuotients, directory=None) -> Path:
+def write_entry(pq: PartialQuotients) -> Path:
     """Persist an expansion; returns the file written."""
-    path = entry_path(pq.constant_id, directory)
+    path = entry_path(pq.constant_id)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = _payload(pq.terms)
     lines = [
@@ -65,9 +63,9 @@ def write_entry(pq: PartialQuotients, directory=None) -> Path:
     return path
 
 
-def read_entry(constant_id: str, directory=None) -> PartialQuotients | None:
+def read_entry(constant_id: str) -> PartialQuotients | None:
     """Load and validate a cache entry; None when absent."""
-    path = entry_path(constant_id, directory)
+    path = entry_path(constant_id)
     if not path.exists():
         return None
     lines = path.read_text(encoding="ascii", errors="replace").splitlines()
@@ -93,10 +91,10 @@ def read_entry(constant_id: str, directory=None) -> PartialQuotients | None:
     return PartialQuotients(constant_id=constant_id, terms=terms, source_precision=precision)
 
 
-def load_quotients(constant_id: str, min_terms: int, directory=None) -> PartialQuotients | None:
+def load_quotients(constant_id: str, min_terms: int) -> PartialQuotients | None:
     """Cached quotients if there are at least min_terms, else None; a corrupt entry is a miss, with a warning."""
     try:
-        pq = read_entry(constant_id, directory)
+        pq = read_entry(constant_id)
     except CacheError as exc:
         print(f"warning: ignoring cache entry {exc}", file=sys.stderr)
         return None

@@ -10,7 +10,6 @@ standard three-term recurrence, verifiable against bundled OEIS b-files.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -211,25 +210,6 @@ def _expand_at(constant_id: str, max_terms: int, digits: int) -> PartialQuotient
     return expand(constant_value(constant_id, ctx), max_terms, ctx, constant_id=constant_id)
 
 
-_expansion_memo: dict[str, PartialQuotients] = {}
-_expansion_lock = threading.Lock()
-
-
-def cached_expansion(constant_id: str, min_terms: int) -> PartialQuotients:
-    """Memoized expansion of a named constant with at least ``min_terms`` terms."""
-    with _expansion_lock:
-        have = _expansion_memo.get(constant_id)
-        if have is not None and len(have.terms) >= min_terms:
-            return have
-        pq = expand_constant(constant_id, min_terms)
-        if len(pq.terms) < min_terms:
-            raise InsufficientTermsError(
-                f"could not certify {min_terms} terms of {constant_id}; got {len(pq.terms)}"
-            )
-        _expansion_memo[constant_id] = pq
-        return pq
-
-
 def convergents(pq: PartialQuotients, count: int) -> list[Convergent]:
     """First ``count`` exact convergents by the standard recurrence."""
     if count < 1:
@@ -253,8 +233,8 @@ def convergents(pq: PartialQuotients, count: int) -> list[Convergent]:
 
 
 def constant_convergents(constant_id: str, count: int) -> list[Convergent]:
-    """Convergents of a named constant, precision auto-sized and memoized."""
-    return convergents(cached_expansion(constant_id, count), count)
+    """Convergents of a named constant, precision auto-sized for the count."""
+    return convergents(expand_constant(constant_id, count), count)
 
 
 def reconstruct(pq: PartialQuotients) -> Fraction:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .contfrac import cached_expansion, constant_value, convergents, digits_for_terms, expand
+from .contfrac import constant_convergents, constant_value, convergents, digits_for_terms, expand
 from .errors import DomainError, UndefinedMeasureError
 from .mpreal import RealContext, make_context
 
@@ -74,16 +74,21 @@ def empirical_measure(alpha, p: int, q: int, ctx: RealContext):
 
 def _resolve(alpha, n_max: int, ctx: RealContext | None):
     """Return (alpha value, convergents to n_max, context), auto-sizing
-    precision when alpha is given as a named constant."""
+    precision when alpha is given as a named constant.
+
+    At least n_max convergents come back (n_max + 1 when precision allows);
+    a value whose precision certifies fewer raises DomainError.
+    """
     if isinstance(alpha, str):
         work = make_context(max(digits_for_terms(n_max + 2), ctx.decimal_digits if ctx is not None else 0))
-        pq = cached_expansion(alpha, n_max + 1)
-        convs = convergents(pq, n_max + 1)
+        convs = constant_convergents(alpha, n_max + 1)
         return constant_value(alpha, work), convs, work
     if ctx is None:
         raise DomainError("a context is required when alpha is given as a value")
     pq = expand(alpha, n_max + 1, ctx)
     convs = convergents(pq, min(n_max + 1, len(pq.terms)))
+    if len(convs) < n_max:
+        raise DomainError(f"only {len(convs)} convergents available for n_max={n_max}")
     return ctx._mp.mpf(alpha), convs, ctx
 
 
@@ -94,8 +99,6 @@ def measure_table(alpha, n_max: int, ctx: RealContext | None = None) -> list[Mea
     at the caller's context precision.
     """
     value, convs, work = _resolve(alpha, n_max, ctx)
-    if len(convs) < n_max:
-        raise DomainError(f"only {len(convs)} convergents available for n_max={n_max}")
     rows = []
     for c in convs[:n_max]:
         err = approximation_error(value, c.p, c.q, work)

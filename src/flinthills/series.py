@@ -167,13 +167,14 @@ def _check_uv(u, v):
 
 
 def _record_indices(x: int) -> list[int]:
-    """The record indices of 1/|sin n| up to x: 1, then pi's convergent numerators."""
-    count = 30
-    convs = constant_convergents("pi", count)
-    while convs[-1].p <= x:
-        count += 30
-        convs = constant_convergents("pi", count)
-    return [p for p in [1] + [c.p for c in convs] if p <= x]
+    """The record indices of 1/|sin n| up to x: 1, then pi's convergent numerators.
+
+    The n-th numerator (from 0) is at least the Fibonacci number F(n+1) >=
+    phi^(n-1), so the first ceil(log_phi x) + 2 convergents hold every
+    numerator up to x.
+    """
+    count = math.ceil(math.log(max(x, 1)) / math.log((1 + math.sqrt(5)) / 2)) + 2
+    return [p for p in [1] + [c.p for c in constant_convergents("pi", count)] if p <= x]
 
 
 def _alpha_pi_sine(alpha, ctx: RealContext):
@@ -276,6 +277,11 @@ def _flat_sine(spec: SeriesSpec, end: int, ctx: RealContext):
     pi_power = _pi_power_chain(eff)
 
     def sine(n):
+        if n == 1:
+            # each term asks for pi at a larger scale than the last; computing the
+            # last term's scale first lets every other term derive from it.  This
+            # waits for the first term, so the loop rejects bad exponents first
+            pi_scaled(_pi_power_digits(end, eff) if power else eff + decimal_length(base**end) + 4)
         if power:
             scaled, s = pi_power(n)
         else:
@@ -292,10 +298,6 @@ def _flat_sine(spec: SeriesSpec, end: int, ctx: RealContext):
             )
         return mpf_sin(mpf_div(from_int(frac, prec, rnd), from_int(s), prec, rnd), prec, rnd)
 
-    if end >= 1 and not power:
-        # each term asks for pi at a larger scale than the last; computing the
-        # last term's scale first lets every other term derive from it
-        pi_scaled(eff + decimal_length(base**end) + 4)
     return sine
 
 

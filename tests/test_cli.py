@@ -481,9 +481,10 @@ class TestExpandAndCache:
 
         monkeypatch.setattr(pathlib.Path, "write_text", torn_write)
         with pytest.raises(OSError, match="disk full"):
-            cache.write_entry(expand_constant("pi", 20), tmp_path)
-        monkeypatch.undo()
-        assert cache.read_entry("pi", tmp_path) == before
+            cache.write_entry(expand_constant("pi", 20))
+        monkeypatch.undo()  # also unsets the cache directory
+        monkeypatch.setenv("FLINTHILLS_CACHE_DIR", str(tmp_path))
+        assert cache.read_entry("pi") == before
         assert [p.name for p in tmp_path.iterdir()] == ["pi.cfcache"]
 
     def test_checksum_failure_detected(self, tmp_path, monkeypatch, capsys):

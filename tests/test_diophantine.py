@@ -115,6 +115,13 @@ class TestInequalityAudit:
         with pytest.raises(fh.DomainError):
             fh.inequality_audit("pi", (3, 2))
 
+    @pytest.mark.parametrize("table", [fh.inequality_audit, fh.measure_table])
+    def test_value_with_too_few_convergents(self, table):
+        # 30 digits certify 69 quotients of pi, short of 100 rows
+        ctx = fh.make_context(30)
+        with pytest.raises(fh.DomainError, match=r"^only 69 convergents available for n_max=10[01]$"):
+            table(fh.pi_const(ctx), 100, ctx)
+
 
 class TestBestApproximation:
     def test_exhaustive_scan_to_1e4(self):

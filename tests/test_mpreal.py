@@ -79,6 +79,20 @@ class TestPi:
         for d in range(1, 999):
             assert _pi_machin_scaled(d) == int(ref[: d + 1]), d
 
+    def test_derived_scales_are_the_exact_floor(self, monkeypatch):
+        # flat-power computes pi once at its last term's scale (1242 digits for
+        # --digits 200 --limit 2000) and derives every smaller scale from it
+        import flinthills.mpreal as mpreal
+
+        top = 1242
+        monkeypatch.setattr(mpreal, "_pi_cache", {})
+        pi_scaled(top)
+        mp = MPContext()
+        mp.dps = 2 * top
+        for k in range(1, top + 1):
+            assert pi_scaled(k) == int(mp.floor(mp.pi * mp.mpf(10) ** k)), k
+        assert list(mpreal._pi_cache) == [top]
+
     @pytest.mark.parametrize("digits", [5000, 20000, 40000])
     def test_machin_is_the_exact_floor_deep(self, digits):
         from mpmath.ctx_mp import MPContext

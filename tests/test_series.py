@@ -154,6 +154,25 @@ class TestLacunaryPartialSum:
                 rest += 1 / (mp.mpf(n) ** 3 * sin_int(n, ctx50) ** 2)
         assert abs(p_full.value - (rest + q_lac.value)) < mp.mpf(10) ** (-40)
 
+    def test_record_indices_are_the_numerators_up_to_x(self):
+        from flinthills.series import _record_indices
+
+        numerators = [c.p for c in fh.constant_convergents("pi", 500)]
+        xs = [0, 1, 2, 3, 21, 22, 23] + [10**k for k in range(201)]
+        xs += [numerators[n] + d for n in (0, 1, 2, 3, 10, 50, 100, 200, 380) for d in (-1, 0, 1)]
+        assert max(xs) < numerators[-1]
+        for x in xs:
+            assert _record_indices(x) == [p for p in [1] + numerators if p <= x], x
+
+    def test_expands_pi_once(self, ctx50, monkeypatch):
+        from flinthills import contfrac
+
+        calls = []
+        expand_at = contfrac._expand_at
+        monkeypatch.setattr(contfrac, "_expand_at", lambda *a: calls.append(a) or expand_at(*a))
+        fh.partial_sum(lacunary_spec(10**60), ctx50)
+        assert len(calls) == 1
+
     def test_binet_lower_bound(self, ctx60):
         mp = ctx60._mp
         phi = (1 + mp.sqrt(5)) / 2
@@ -241,15 +260,29 @@ class TestFlatHills:
         oracle = 1 / math.sin(f1) + 1 / (4 * math.sin(f2))
         assert rel_err(r.value, oracle) < 1e-11
 
-    def test_scaled_computes_pi_once(self, ctx50, monkeypatch):
+    @pytest.mark.parametrize("family", ["flat_power", "flat_scaled"])
+    def test_scaled_computes_pi_once(self, family, ctx50, monkeypatch):
         import flinthills.mpreal as mpreal
 
         calls = []
         machin = mpreal._pi_machin_scaled
         monkeypatch.setattr(mpreal, "_pi_machin_scaled", lambda d: calls.append(d) or machin(d))
         monkeypatch.setattr(mpreal, "_pi_cache", {})
-        fh.partial_sum(flat_spec("flat_scaled", "nearest", 2, 1, 200), ctx50)
+        fh.partial_sum(flat_spec(family, "nearest", 2, 1, 200), ctx50)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("family", ["flat_power", "flat_scaled"])
+    def test_non_finite_exponent_rejected_before_pi(self, family, ctx50, monkeypatch):
+        # pi at the last term's scale (0.5 to 1 million digits here) would take minutes
+        import flinthills.mpreal as mpreal
+
+        def machin(digits):
+            raise AssertionError(f"pi computed at {digits} digits")
+
+        monkeypatch.setattr(mpreal, "_pi_machin_scaled", machin)
+        monkeypatch.setattr(mpreal, "_pi_cache", {})
+        with pytest.raises(fh.DomainError, match="finite"):
+            fh.partial_sum(flat_spec(family, "nearest", math.inf, 1, 10**6), ctx50)
 
     def test_validation(self, ctx50):
         with pytest.raises(fh.DomainError):
