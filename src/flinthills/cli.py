@@ -8,6 +8,7 @@ gamma-reflect, series, stats, verify.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -126,8 +127,17 @@ def _rows(records, **rename) -> list[dict]:
 
 
 def _emit(out, args, rows: list[dict], digits: int) -> int:
-    """Write the rows (all `digits` under --full) and return the success code."""
-    out.write(emit_rows(rows, args.format, digits if args.full else DEFAULT_SIGNIFICANT_DIGITS))
+    """Write the rows (all `digits` under --full) and return the success code.
+
+    A reader that closes the pipe early (``| head``) ends the output, not the
+    command: the rest of the table is dropped and the exit code stays 0.
+    """
+    try:
+        emit_rows(rows, args.format, digits if args.full else DEFAULT_SIGNIFICANT_DIGITS, out)
+        out.flush()
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return 0
 
 
@@ -167,8 +177,8 @@ def _cmd_expand(args, out):
 
 def _cmd_convergents(args, out):
     pq = _quotients_for(args, args.terms, use_cache=args.cache_read)
-    convs = contfrac.convergents(pq, args.terms)
-    rows = [{"n": c.index + 1, "p": c.p, "q": c.q} for c in convs]
+    pairs = contfrac.decimal_convergents(pq, args.terms)
+    rows = [{"n": n, "p": p, "q": q} for n, (p, q) in enumerate(pairs, start=1)]
     return _emit(out, args, rows, 30)
 
 

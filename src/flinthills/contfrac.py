@@ -4,13 +4,17 @@ The expansion runs interval arithmetic on [x - eps, x + eps] in exact integers
 (eps spanning the scaled value's last working digit) and emits a partial
 quotient only while both endpoints agree on it, so no garbage terms appear
 near precision exhaustion.  Convergents are exact big integers from the
-standard three-term recurrence, verifiable against bundled OEIS b-files.
+standard three-term recurrence, verifiable against bundled OEIS b-files; the
+same recurrence runs on exact Decimal integers for printing.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -210,26 +214,64 @@ def _expand_at(constant_id: str, max_terms: int, digits: int) -> PartialQuotient
     return expand(constant_value(constant_id, ctx), max_terms, ctx, constant_id=constant_id)
 
 
-def convergents(pq: PartialQuotients, count: int) -> list[Convergent]:
-    """First ``count`` exact convergents by the standard recurrence."""
+def convergent_pairs(pq: PartialQuotients, count: int, one=1) -> Iterator[tuple]:
+    """The first ``count`` pairs (p_n, q_n), folded lazily in the type of ``one``.
+
+    The count and the terms are checked when this is called, before the first
+    pair is folded: every term must be an int (see ``convergents``).
+    """
     if count < 1:
         raise DomainError("count must be positive")
     if count > len(pq.terms):
         raise InsufficientTermsError(
             f"{count} convergents requested but only {len(pq.terms)} terms available"
         )
-    out: list[Convergent] = []
-    p_prev, p_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
-    for k, a in enumerate(pq.terms[:count]):
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
-        if math.gcd(p, q) != 1:
-            raise CrossCheckError(f"convergent {k} not in lowest terms")
-        out.append(Convergent(index=k, p=p, q=q))
-        p_prev2, p_prev = p_prev, p
-        q_prev2, q_prev = q_prev, q
-    return out
+    terms = pq.terms[:count]
+    for k, a in enumerate(terms):
+        if type(a) is not int:
+            raise CrossCheckError(f"partial quotient {k} is a {type(a).__name__}, not an int")
+    return _recurrence(terms, one)
+
+
+def _recurrence(terms, one) -> Iterator[tuple]:
+    """(p_n, q_n) from (p_(-1), q_(-1)) = (1, 0) and (p_(-2), q_(-2)) = (0, 1)."""
+    zero = one - one
+    p, p_prev, q, q_prev = one, zero, zero, one
+    for a in terms:
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        yield p, q
+
+
+def convergents(pq: PartialQuotients, count: int) -> list[Convergent]:
+    """First ``count`` exact convergents by the standard recurrence, in lowest terms.
+
+    The recurrence p_n = a_n p_(n-1) + p_(n-2), q_n = a_n q_(n-1) + q_(n-2)
+    gives p_n q_(n-1) - p_(n-1) q_n = (-1)^(n-1) for any terms (Khinchin,
+    *Continued Fractions*, Theorem 2), so every common divisor of p_n and q_n
+    divides 1 when the terms are integers.  Lowest terms therefore rest only
+    on every term being an int, which is checked once (CrossCheckError)
+    instead of by a gcd on each row.
+    """
+    return [Convergent(index=k, p=p, q=q) for k, (p, q) in enumerate(convergent_pairs(pq, count))]
+
+
+# integers held exactly: no precision or exponent limit is reachable, and any
+# rounding would raise instead of printing a wrong digit
+_EXACT_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                 traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow])
+
+
+def decimal_convergents(pq: PartialQuotients, count: int) -> list[tuple[Decimal, Decimal]]:
+    """The first ``count`` pairs (p_n, q_n) as exact integral Decimals.
+
+    Same recurrence and checks as ``convergents``.  ``str`` of an integral
+    Decimal takes time linear in its length and has no digit limit, where
+    ``str`` of an int is quadratic and stops at 4300 digits, so tables of
+    convergents are printed from these.
+    """
+    with decimal.localcontext(_EXACT_DECIMAL):
+        return list(convergent_pairs(pq, count, Decimal(1)))
 
 
 def constant_convergents(constant_id: str, count: int) -> list[Convergent]:

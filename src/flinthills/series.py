@@ -16,6 +16,7 @@ per operation; only the result is wrapped as mpf.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from mpmath.libmp import (
     mpf_sub,
 )
 
-from .contfrac import constant_convergents
+from .contfrac import constant_convergents, convergent_pairs, expand_constant
 from .errors import (
     CrossCheckError,
     DomainError,
@@ -170,11 +171,13 @@ def _record_indices(x: int) -> list[int]:
     """The record indices of 1/|sin n| up to x: 1, then pi's convergent numerators.
 
     The n-th numerator (from 0) is at least the Fibonacci number F(n+1) >=
-    phi^(n-1), so the first ceil(log_phi x) + 2 convergents hold every
-    numerator up to x.
+    phi^(n-1), so the first ceil(log_phi x) + 2 quotients of pi hold every
+    numerator up to x.  The numerators increase, and they are folded only up
+    to the first one above x.
     """
     count = math.ceil(math.log(max(x, 1)) / math.log((1 + math.sqrt(5)) / 2)) + 2
-    return [p for p in [1] + [c.p for c in constant_convergents("pi", count)] if p <= x]
+    numerators = (p for p, _ in convergent_pairs(expand_constant("pi", count), count))
+    return list(itertools.takewhile(lambda p: p <= x, itertools.chain([1], numerators)))
 
 
 def _alpha_pi_sine(alpha, ctx: RealContext):

@@ -61,10 +61,19 @@ def running_geometric_mean(pq: PartialQuotients, n: int, include_leading: bool =
     if len(terms) < n:
         raise InsufficientTermsError(f"{n} quotients requested, {len(terms)} available")
     mp = _ctx()._mp
-    log_sum = mp.mpf(0)
-    for a in terms[:n]:
-        log_sum += mp.log(a)
-    return mp.exp(log_sum / n)
+    return mp.exp(_log_sum(mp, terms[:n]) / n)
+
+
+def _log_sum(mp, terms):
+    """The sum of mp.log(a) over the terms in order; each distinct a's log is computed once."""
+    logs: dict[int, object] = {}
+    total = mp.mpf(0)
+    for a in terms:
+        log_a = logs.get(a)
+        if log_a is None:
+            log_a = logs[a] = mp.log(a)
+        total += log_a
+    return total
 
 
 def quotient_histogram(pq: PartialQuotients, n: int) -> QuotientStats:
@@ -76,7 +85,6 @@ def quotient_histogram(pq: PartialQuotients, n: int) -> QuotientStats:
     mp = _ctx()._mp
     histogram: dict[int, int] = {}
     max_pos, max_val = 1, pq.terms[1]
-    log_sum = mp.mpf(0)
     for i in range(1, n + 1):
         a = pq.terms[i]
         bucket = a if a <= HISTOGRAM_OVERFLOW else -1
@@ -84,12 +92,11 @@ def quotient_histogram(pq: PartialQuotients, n: int) -> QuotientStats:
         if a > max_val:
             max_val = a
             max_pos = i
-        log_sum += mp.log(a)
     gk = {k: gauss_kuzmin_p(k) for k in sorted(v for v in histogram if v > 0)[:64]}
     freq_low = mp.mpf(histogram.get(1, 0) + histogram.get(2, 0)) / n
     return QuotientStats(
         n_terms=n,
-        geometric_mean=mp.exp(log_sum / n),
+        geometric_mean=mp.exp(_log_sum(mp, pq.terms[1:n + 1]) / n),
         histogram=histogram,
         max_term=(max_pos + 1, max_val),  # +1: leading term is position 1
         gk_expected=gk,

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import sys
 import time
 from pathlib import Path
 
@@ -61,3 +63,16 @@ def flint_plot_reference():
 
 def rel_err(got, expected) -> float:
     return abs(float(got) - float(expected)) / abs(float(expected))
+
+
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift Python's 4300-digit int <-> str limit, where the interpreter has one."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)

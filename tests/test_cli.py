@@ -19,11 +19,23 @@ from mpmath.ctx_mp import MPContext
 import flinthills
 from flinthills.cli import run
 
+from conftest import unlimited_int_str
+
 
 def run_cli(argv):
     buf = io.StringIO()
     code = run(argv, out=buf)
     return code, buf.getvalue()
+
+
+def cold_env():
+    """The environment of a fresh process that imports this checkout's package."""
+    src = str(Path(flinthills.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def cold_cli(argv, **popen_args):
+    return subprocess.Popen([sys.executable, "-m", "flinthills.cli", *argv], env=cold_env(), **popen_args)
 
 
 class TestExitCodes:
@@ -291,12 +303,10 @@ class TestSeriesCommand:
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-        src = str(Path(flinthills.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "flinthills.cli", "series", "flint", "--u", "1e18", "--limit", "2",
              "--format", "json"],
-            capture_output=True, text=True, timeout=5, env=env, preexec_fn=cap,
+            capture_output=True, text=True, timeout=5, env=cold_env(), preexec_fn=cap,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         row = json.loads(proc.stdout)
@@ -506,3 +516,48 @@ class TestExpandAndCache:
         capsys.readouterr()
         assert run_cli(["convergents", "--terms", "5", "--cache-read"]) == uncached
         assert capsys.readouterr().err == f"warning: ignoring cache entry {path}: not a cache file\n"
+
+
+class TestStreamedConvergents:
+    """Cold processes: the convergents table past Python's 4300-digit int -> str limit."""
+
+    @pytest.fixture(scope="class")
+    def last_row(self):
+        last = flinthills.constant_convergents("pi", 9200)[-1]
+        with unlimited_int_str():
+            return str(last.p), str(last.q)
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_9200_rows_in_bounded_memory(self, fmt, last_row):
+        proc = cold_cli(["convergents", "--terms", "9200", "--format", fmt],
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        tail = b""
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            tail = (tail + chunk)[-(1 << 16):]
+        stderr = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        proc.stdout.close()
+        proc.stderr.close()
+        assert (proc.returncode, stderr) == (0, b"")
+        max_rss_mb = usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+        assert max_rss_mb < 100
+        p, q = last_row
+        assert len(p) > 4300
+        expected = {"plain": f"9200  {p}  {q}", "csv": f"9200,{p},{q}",
+                    "json": f'{{"n": 9200, "p": {p}, "q": {q}}}'}[fmt]
+        assert tail.decode().splitlines()[-1] == expected
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (["convergents", "--terms", "3000", "--format", "csv"], b""),
+        (["audit", "--n-max", "1000"], b"dirichlet_ok=True shifted_ok=True hurwitz_count=650/1000\n"),
+    ], ids=["convergents", "audit"])
+    def test_reader_closing_early(self, argv, stderr):
+        # like `| head -c 100`: the table is cut short, the command still succeeds
+        proc = cold_cli(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert (len(head), err) == (100, stderr)

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flinthills as fh
+from flinthills.contfrac import decimal_convergents
+
+from conftest import unlimited_int_str
 
 PI_FIRST_30 = [3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2,
                1, 84, 2, 1, 1, 15, 3, 13, 1, 4]
@@ -107,6 +111,41 @@ class TestConvergents:
         convs = fh.convergents(fh.PartialQuotients("r", tuple(quotients), 30), len(quotients))
         for k in range(1, len(convs)):
             assert convs[k].p * convs[k - 1].q - convs[k - 1].p * convs[k].q == (-1) ** (k - 1)
+
+
+    @pytest.mark.parametrize("bad", [15.0, Fraction(15), Decimal(15), True])
+    def test_non_int_quotient_raises(self, bad):
+        pq = fh.PartialQuotients("x", (3, 7, bad, 1), 30)
+        with pytest.raises(fh.CrossCheckError, match="partial quotient 2"):
+            fh.convergents(pq, 4)
+        with pytest.raises(fh.CrossCheckError, match="partial quotient 2"):
+            decimal_convergents(pq, 4)
+        assert [(c.p, c.q) for c in fh.convergents(pq, 2)] == [(3, 1), (22, 7)]
+
+
+def _as_strings(pairs):
+    return [(str(p), str(q)) for p, q in pairs]
+
+
+class TestDecimalConvergents:
+    """The exact-Decimal recurrence prints the same digits as the int one."""
+
+    @given(st.lists(st.integers(min_value=1, max_value=10**1500 - 1), min_size=1, max_size=8),
+           st.integers(min_value=-5, max_value=5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_int_recurrence(self, quotients, a0):
+        pq = fh.PartialQuotients("random", (a0, *quotients), 30)
+        ints = fh.convergents(pq, len(pq.terms))
+        with unlimited_int_str():
+            assert _as_strings(decimal_convergents(pq, len(pq.terms))) == [(str(c.p), str(c.q)) for c in ints]
+
+    def test_pi_first_9200_rows(self):
+        pq = fh.expand_constant("pi", 9200)
+        ints = fh.convergents(pq, 9200)
+        decimals = decimal_convergents(pq, 9200)
+        assert len(str(decimals[-1][0])) > 4300  # past Python's int -> str limit
+        with unlimited_int_str():
+            assert _as_strings(decimals) == [(str(c.p), str(c.q)) for c in ints]
 
 
 class TestFixtureVerification:

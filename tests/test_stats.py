@@ -87,3 +87,27 @@ class TestHistogram:
         stats = fh.quotient_histogram(pq, 500)
         direct = fh.running_geometric_mean(pq, 500, include_leading=False)
         assert abs(stats.geometric_mean - direct) < 1e-20
+
+
+class TestLogSumReference:
+    """Each distinct quotient's log is computed once; the bits match a per-term loop."""
+
+    @staticmethod
+    def _reference_geometric_mean(terms):
+        mp = fh.make_context(30)._mp
+        log_sum = mp.mpf(0)
+        for a in terms:
+            log_sum += mp.log(a)
+        return mp.exp(log_sum / len(terms))
+
+    def test_running_geometric_mean_bits(self, pi_survey):
+        pq, _ = pi_survey
+        for n, leading in ((1, True), (20, True), (5000, True), (5000, False)):
+            terms = pq.terms[:n] if leading else pq.terms[1:n + 1]
+            got = fh.running_geometric_mean(pq, n, include_leading=leading)
+            assert got._mpf_ == self._reference_geometric_mean(terms)._mpf_
+
+    def test_histogram_geometric_mean_bits(self, pi_survey):
+        pq, _ = pi_survey
+        stats = fh.quotient_histogram(pq, 10000)
+        assert stats.geometric_mean._mpf_ == self._reference_geometric_mean(pq.terms[1:10001])._mpf_
