@@ -334,13 +334,14 @@ def _cmd_stats(args, out):
 def _cmd_verify(args, out):
     default_name, offset = _FIXTURE_DEFAULTS[args.sequence]
     fixture = _resolve_fixture(args.fixture, default_name)
-    convs = contfrac.constant_convergents("pi", args.terms)
+    # integral Decimals: a mismatch row may hold a convergent past 4300 digits
+    pairs = contfrac.decimal_convergents(contfrac.expand_constant("pi", args.terms), args.terms)
     if args.sequence == "numerators":
-        seq = [c.p for c in convs]
+        seq = [p for p, _ in pairs]
     elif args.sequence == "denominators":
-        seq = [c.q for c in convs]
+        seq = [q for _, q in pairs]
     else:
-        seq = [1] + [c.p for c in convs]
+        seq = [1] + [p for p, _ in pairs]
     report = contfrac.verify_fixture(seq, fixture, index_offset=offset)
     rows = [
         {

@@ -69,7 +69,7 @@ class VerificationReport:
 
     fixture_path: str
     compared: int
-    mismatches: tuple[tuple[int, int, int], ...]  # (fixture index, expected, got)
+    mismatches: tuple[tuple, ...]  # (fixture index, expected, got)
 
     @property
     def passed(self) -> bool:
@@ -294,9 +294,13 @@ def reconstruct(pq: PartialQuotients) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def parse_bfile(fixture_path) -> dict[int, int]:
-    """Parse an OEIS b-file: lines of "index value", '#' comments ignored."""
-    entries: dict[int, int] = {}
+def parse_bfile(fixture_path) -> dict[int, Decimal]:
+    """Parse an OEIS b-file: lines of "index value", '#' comments ignored.
+
+    Values are integral Decimals, which have no digit limit where an int
+    parsed from text stops at 4300 digits.
+    """
+    entries: dict[int, Decimal] = {}
     try:
         text = Path(fixture_path).read_text(encoding="ascii")
     except (OSError, UnicodeDecodeError) as exc:
@@ -309,9 +313,11 @@ def parse_bfile(fixture_path) -> dict[int, int]:
         if len(parts) != 2:
             raise FixtureFormatError(f"{fixture_path}:{lineno}: expected 'index value', got {raw!r}")
         try:
-            idx, val = int(parts[0]), int(parts[1])
-        except ValueError as exc:
+            idx, val = int(parts[0]), Decimal(parts[1])
+        except (ValueError, decimal.InvalidOperation) as exc:
             raise FixtureFormatError(f"{fixture_path}:{lineno}: non-integer field: {raw!r}") from exc
+        if val.as_tuple().exponent != 0:  # a fraction, an exponent, NaN or infinity
+            raise FixtureFormatError(f"{fixture_path}:{lineno}: non-integer field: {raw!r}")
         entries[idx] = val
     if not entries:
         raise FixtureFormatError(f"{fixture_path}: no data lines")
@@ -327,15 +333,15 @@ def verify_fixture(seq, fixture_path, index_offset: int = 0) -> VerificationRepo
     """
     fixture = parse_bfile(fixture_path)
     compared = 0
-    mismatches: list[tuple[int, int, int]] = []
+    mismatches: list[tuple] = []
     for i, got in enumerate(seq):
         fi = i + index_offset
         if fi not in fixture:
             continue
         compared += 1
         expected = fixture[fi]
-        if expected != int(got):
-            mismatches.append((fi, expected, int(got)))
+        if expected != got:
+            mismatches.append((fi, expected, got))
     return VerificationReport(
         fixture_path=str(fixture_path),
         compared=compared,

@@ -81,8 +81,8 @@ def _resolve(alpha, n_max: int, ctx: RealContext | None):
     """
     if isinstance(alpha, str):
         work = make_context(max(digits_for_terms(n_max + 2), ctx.decimal_digits if ctx is not None else 0))
-        convs = constant_convergents(alpha, n_max + 1)
-        return constant_value(alpha, work), convs, work
+        value = constant_value(alpha, work)  # first, so the expansion's smaller pi is derived from it
+        return value, constant_convergents(alpha, n_max + 1), work
     if ctx is None:
         raise DomainError("a context is required when alpha is given as a value")
     pq = expand(alpha, n_max + 1, ctx)

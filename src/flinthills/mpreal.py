@@ -28,9 +28,11 @@ from .errors import CrossCheckError, DomainError, PrecisionError
 MIN_DECIMAL_DIGITS = 30
 DEFAULT_GUARD_DIGITS = 40
 
-# extra scale digits carried while summing the pi series, absorbing the
-# accumulated floor-division error (at most a few units per term)
+# a pi series first runs _PI_SERIES_GUARD digits past the scale asked for, and
+# its value there is within _PI_SERIES_ERROR units: two for each of Machin's
+# arctangents, times 16 + 4 (Chudnovsky's bound, two units, is below it)
 _PI_SERIES_GUARD = 12
+_PI_SERIES_ERROR = 2 * (16 + 4)
 
 
 class RealContext:
@@ -78,20 +80,17 @@ def make_context(decimal_digits: int) -> RealContext:
 _pi_cache: dict[int, int] = {}  # {digits: value} for the largest scale computed
 _pi_derived = (0, 0, 0)  # (cached scale, scale, value) of the last scale derived from it
 _pi_lock = threading.Lock()
-_pi_reference_digits: str | None = None
 
 
+@functools.cache
 def _reference_pi_digits() -> str:
     """First 1000 significant digits of pi from the bundled fixture."""
-    global _pi_reference_digits
-    if _pi_reference_digits is None:
-        text = (
-            resources.files("flinthills")
-            .joinpath("fixtures/pi_1000.txt")
-            .read_text(encoding="ascii")
-        )
-        _pi_reference_digits = "".join(text.split())
-    return _pi_reference_digits
+    text = (
+        resources.files("flinthills")
+        .joinpath("fixtures/pi_1000.txt")
+        .read_text(encoding="ascii")
+    )
+    return "".join(text.split())
 
 
 def _arctan_split(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -127,11 +126,18 @@ def _arctan_inv_scaled(x: int, one: int) -> int:
     return one * x * (q + t) // (c * q)
 
 
-def _pi_machin_scaled(digits: int) -> int:
-    """floor(pi * 10**digits) +- 1, via 16 arctan(1/5) - 4 arctan(1/239)."""
-    one = 10 ** (digits + _PI_SERIES_GUARD)
+def _ziv_floor(val: int, guard: int) -> int | None:
+    """val // 10**guard if all of val +- _PI_SERIES_ERROR floor to it (Ziv's test), else None."""
+    unit = 10**guard
+    low = (val - _PI_SERIES_ERROR) // unit
+    return low if low == (val + _PI_SERIES_ERROR) // unit else None
+
+
+def _pi_machin_scaled(digits: int, guard: int = _PI_SERIES_GUARD) -> int:
+    """floor(pi * 10**digits) exactly, via 16 arctan(1/5) - 4 arctan(1/239)."""
+    one = 10 ** (digits + guard)
     val = 16 * _arctan_inv_scaled(5, one) - 4 * _arctan_inv_scaled(239, one)
-    return val // 10**_PI_SERIES_GUARD
+    return _ziv_floor(val, guard) or _pi_machin_scaled(digits, 2 * guard)
 
 
 def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
@@ -148,9 +154,10 @@ def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
     return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
 
-def _pi_chudnovsky_scaled(digits: int) -> int:
-    """floor(pi * 10**digits) +- 1, via binary-splitting Chudnovsky."""
-    prec = digits + _PI_SERIES_GUARD
+def _pi_chudnovsky_scaled(digits: int, guard: int = _PI_SERIES_GUARD) -> int:
+    """floor(pi * 10**digits) exactly, via binary-splitting Chudnovsky.  val is within two
+    units: the floor moves it by under one, the root by pi / sqrt(10005), the rest far less."""
+    prec = digits + guard
     terms = prec // 14 + 2
     _, q, t = _chudnovsky_split(0, terms)
     scale = 10**prec
@@ -161,43 +168,41 @@ def _pi_chudnovsky_scaled(digits: int) -> int:
     t >>= shift
     sqrt_10005 = math.isqrt(10005 * scale * scale)
     val = q * 426880 * sqrt_10005 // t
-    return val // 10**_PI_SERIES_GUARD
+    return _ziv_floor(val, guard) or _pi_chudnovsky_scaled(digits, 2 * guard)
 
 
 def pi_scaled(digits: int) -> int:
-    """floor(pi * 10**digits) to within one unit, cross-checked and cached.
+    """floor(pi * 10**digits) exactly, cross-checked and cached; a function of digits alone.
 
-    Two independent series must agree and the leading digits must match the
-    bundled reference before the value is released.  Only the largest scale
-    computed so far is kept; smaller scales are derived from it, and the last
-    derivation is remembered because callers repeat one scale per term.
+    Two independent series must give the same floor, and it must match every
+    digit of the bundled reference it covers.  Only the largest scale is kept;
+    smaller ones are derived from it, and the last derivation is remembered
+    because callers repeat one scale per term.  A miss computes at twice the
+    cached scale or at digits, whichever is larger, so growing scales cost a
+    logarithmic number of computations.
     """
     global _pi_derived
     if digits < 1:
         raise DomainError("scale must be positive")
     with _pi_lock:
-        for have, val in _pi_cache.items():
-            if have >= digits:
-                if _pi_derived[:2] != (have, digits):
-                    _pi_derived = (have, digits, val // 10 ** (have - digits))
-                return _pi_derived[2]
-        a = _pi_machin_scaled(digits)
-        b = _pi_chudnovsky_scaled(digits)
-        if abs(a - b) > 2:
-            raise CrossCheckError(
-                f"pi series disagree at {digits} digits (delta={a - b})"
-            )
-        ref = _reference_pi_digits()
-        # value has digits+1 decimal digits ("3" + digits); drop the last,
-        # possibly off-by-one, digit from the comparison
-        k = min(digits, len(ref) - 1)
-        if a // 10 ** (digits + 1 - k) != int(ref[:k]):
-            raise CrossCheckError(
-                f"pi computation does not match the bundled reference at {digits} digits"
-            )
-        _pi_cache.clear()
-        _pi_cache[digits] = a
-        return a
+        have, val = next(iter(_pi_cache.items()), (0, 0))
+        if have < digits:
+            have = max(digits, 2 * have)
+            val = _pi_machin_scaled(have)
+            b = _pi_chudnovsky_scaled(have)
+            if val != b:
+                raise CrossCheckError(f"pi series disagree at {have} digits (delta={val - b})")
+            ref = _reference_pi_digits()
+            k = min(have + 1, len(ref))  # val has have + 1 digits, "3" and have more
+            if val // 10 ** (have + 1 - k) != int(ref[:k]):
+                raise CrossCheckError(
+                    f"pi computation does not match the bundled reference at {have} digits"
+                )
+            _pi_cache.clear()
+            _pi_cache[have] = val
+        if _pi_derived[:2] != (have, digits):
+            _pi_derived = (have, digits, val // 10 ** (have - digits))
+        return _pi_derived[2]
 
 
 def pi_const(ctx: RealContext):
@@ -245,8 +250,8 @@ def decimal_length(n: int) -> int:
 def residue_mod_pi(num: int, den: int, m, red: int) -> tuple[int, int]:
     """(q, r) with pi*num/den + m = q*pi + r/10**red and |r| <= pi/2 at that scale.
 
-    m is an exact int or Fraction.  Every term is floored at the scale, so r
-    is off by at most |q| + 2 units.
+    m is an exact int or Fraction.  p is below pi by under one unit and the other
+    terms are floored at the scale, so r is off by less than |q - num/den| + 2 units.
     """
     s = 10**red
     p = pi_scaled(red)

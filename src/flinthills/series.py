@@ -223,7 +223,7 @@ def _pi_power_scaled(n: int, scale_digits: int) -> tuple[int, int]:
     fractional part of pi^n survives to scale_digits digits.
 
     acc is the chain p, p*p//s, ... of n - 1 floor divisions from
-    p = pi_scaled(k), which lies within two units of pi * 10^k.  Each step
+    p = pi_scaled(k), which lies below pi * 10^k by less than one unit.  Each step
     multiplies the error so far by about pi, adds pi^j times p's error and
     less than one unit for the floor, so the error of acc is under
     (2n + 1) pi^(n-1) units.  k is scale_digits plus floor(n * 0.49715) digits,
@@ -265,7 +265,7 @@ def _pi_power_chain(scale_digits: int):
     return power
 
 
-def _flat_sine(spec: SeriesSpec, end: int, ctx: RealContext):
+def _flat_sine(spec: SeriesSpec, ctx: RealContext):
     """n -> sin of ||pi^n||, ||pi b^n||, {pi^n} or {pi b^n} as a raw mpf.
 
     Each pi^n (or pi b^n) is carried at enough digits that its fractional part
@@ -280,11 +280,6 @@ def _flat_sine(spec: SeriesSpec, end: int, ctx: RealContext):
     pi_power = _pi_power_chain(eff)
 
     def sine(n):
-        if n == 1:
-            # each term asks for pi at a larger scale than the last; computing the
-            # last term's scale first lets every other term derive from it.  This
-            # waits for the first term, so the loop rejects bad exponents first
-            pi_scaled(_pi_power_digits(end, eff) if power else eff + decimal_length(base**end) + 4)
         if power:
             scaled, s = pi_power(n)
         else:
@@ -336,7 +331,7 @@ def _terms(spec: SeriesSpec, ctx: RealContext, end: int):
             raise DomainError("x must be >= 0")
         if spec.flat_base < 2:
             raise DomainError("base must be >= 2")
-        return range(1, end + 1), _flat_sine(spec, end, ctx)
+        return range(1, end + 1), _flat_sine(spec, ctx)
     raise DomainError(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
 
 

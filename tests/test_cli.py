@@ -429,6 +429,20 @@ class TestVerifyCommand:
         assert rows[0]["passed"] is False
         assert rows[1]["fixture"] == "index 4"
 
+    def test_mismatch_past_4300_digits_is_a_row(self, tmp_path):
+        # p_8999 has about 8,700 digits: the mismatch row prints it, no int -> str limit
+        bad = tmp_path / "A002485.txt"
+        bad.write_text("2 3\n3 22\n9001 5\n")
+        code, out = run_cli(["verify", "--sequence", "numerators", "--terms", "9000",
+                             "--fixture", str(bad), "--format", "csv"])
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1].endswith(",3,1,false")
+        pq = flinthills.expand_constant("pi", 9000)
+        p_last = str(flinthills.contfrac.decimal_convergents(pq, 9000)[-1][0])
+        assert len(p_last) > 4300
+        assert lines[2:] == [f"index 9001,5,{p_last},false"]
+
     # an explicit path is never swapped for the bundled file of the same name
     @pytest.mark.parametrize("path", ["/nonexistent/path.txt", "/nonexistent/A002485.txt", ""])
     def test_missing_fixture_is_domain_error(self, path, capsys):

@@ -172,6 +172,20 @@ class TestFixtureVerification:
         assert not report.passed
         assert report.mismatches == ((3, 23, 22),)
 
+    def test_values_past_4300_digits_parse(self, tmp_path):
+        value = "7" * 5000
+        fixture = tmp_path / "long.txt"
+        fixture.write_text(f"1 3\n2 {value}\n")
+        assert fh.contfrac.parse_bfile(fixture) == {1: 3, 2: Decimal(value)}
+        assert fh.verify_fixture([3, Decimal(value)], fixture, index_offset=1).passed
+
+    @pytest.mark.parametrize("field", ["1.5", "1e3", "NaN", "Infinity", "0x10", "three"])
+    def test_non_integer_value_rejected(self, field, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"1 1\n2 {field}\n")
+        with pytest.raises(fh.FixtureFormatError, match=":2: non-integer field"):
+            fh.contfrac.parse_bfile(bad)
+
     def test_malformed_fixture_line_number(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 1\nnot a line\n")

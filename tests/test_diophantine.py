@@ -116,6 +116,19 @@ class TestInequalityAudit:
             fh.inequality_audit("pi", (3, 2))
 
     @pytest.mark.parametrize("table", [fh.inequality_audit, fh.measure_table])
+    def test_named_constant_computes_pi_once(self, table, monkeypatch):
+        # the work value is computed first, so the expansion's smaller pi is
+        # derived from it rather than computed again
+        import flinthills.mpreal as mpreal
+
+        calls = []
+        machin = mpreal._pi_machin_scaled
+        monkeypatch.setattr(mpreal, "_pi_machin_scaled", lambda *a: calls.append(a) or machin(*a))
+        monkeypatch.setattr(mpreal, "_pi_cache", {})
+        table("pi", 300)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("table", [fh.inequality_audit, fh.measure_table])
     def test_value_with_too_few_convergents(self, table):
         # 30 digits certify 69 quotients of pi, short of 100 rows
         ctx = fh.make_context(30)

@@ -230,6 +230,21 @@ class TestRealTechnique:
 
 
 class TestIntegerTechnique:
+    def test_table_computes_pi_a_logarithmic_number_of_times(self, monkeypatch):
+        # each row asks for pi at a larger scale (648 computations when only
+        # that scale was computed); the cache grows geometrically instead
+        import io
+
+        import flinthills.mpreal as mpreal
+        from flinthills.cli import run
+
+        calls = []
+        machin = mpreal._pi_machin_scaled
+        monkeypatch.setattr(mpreal, "_pi_machin_scaled", lambda *a: calls.append(a) or machin(*a))
+        monkeypatch.setattr(mpreal, "_pi_cache", {})
+        assert run(["shift", "--technique", "integer", "--n-max", "2000"], out=io.StringIO()) == 0
+        assert 1 <= len(calls) <= 3
+
     def test_small_cases(self, ctx50):
         by_p = {r.p: r for r in fh.recip_sin_bound_integer_technique(2, ctx50)}
         assert by_p[3].floor_x == 11

@@ -111,6 +111,53 @@ class TestPi:
         mp.dps = digits + 50
         assert abs(_pi_chudnovsky_scaled(digits) - int(mp.floor(mp.pi * mp.mpf(10) ** digits))) <= 1
 
+    @pytest.mark.parametrize("digits", [5000, 20000, 40000])
+    def test_chudnovsky_is_the_exact_floor_deep(self, digits):
+        from flinthills.mpreal import _pi_chudnovsky_scaled
+
+        mp = MPContext()
+        mp.dps = digits + 50
+        assert _pi_chudnovsky_scaled(digits) == int(mp.floor(mp.pi * mp.mpf(10) ** digits))
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 3000), before=st.one_of(st.none(), st.integers(1, 6000)))
+    def test_scaled_is_the_exact_floor_whatever_was_cached(self, k, before):
+        # the value at a scale does not depend on which scale, if any, the
+        # cache held before: smaller, larger or none
+        import flinthills.mpreal as mpreal
+
+        mp = MPContext()
+        mp.dps = 2 * k + 10
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mpreal, "_pi_cache", {})
+            if before is not None:
+                pi_scaled(before)
+            assert pi_scaled(k) == int(mp.floor(mp.pi * mp.mpf(10) ** k))
+
+    def test_ziv_floor_rejects_values_within_the_bound_of_a_boundary(self):
+        from flinthills.mpreal import _PI_SERIES_ERROR, _ziv_floor
+
+        unit = 10**6
+        assert _ziv_floor(5 * unit + _PI_SERIES_ERROR, 6) == 5
+        assert _ziv_floor(6 * unit - 1 - _PI_SERIES_ERROR, 6) == 5
+        assert _ziv_floor(5 * unit + _PI_SERIES_ERROR - 1, 6) is None
+        assert _ziv_floor(6 * unit - _PI_SERIES_ERROR, 6) is None
+
+    @pytest.mark.parametrize("name", ["_pi_machin_scaled", "_pi_chudnovsky_scaled"])
+    def test_ambiguous_first_try_reruns_once(self, name, monkeypatch):
+        # pi * 10**761 = ....999999837...: the six nines of the Feynman point
+        # put a first try at 6 guard digits within the error bound of a floor
+        # boundary, and the rerun at 12 guard digits settles it
+        import flinthills.mpreal as mpreal
+
+        series, calls = getattr(mpreal, name), []
+        monkeypatch.setattr(mpreal, name, lambda *a: calls.append(a) or series(*a))
+        got = series(761, 6)
+        assert calls == [(761, 12)]
+        mp = MPContext()
+        mp.dps = 800
+        assert got == int(mp.floor(mp.pi * mp.mpf(10) ** 761))
+
     def test_series_disagreement_raises(self, monkeypatch):
         import flinthills.mpreal as mpreal
 

@@ -262,14 +262,18 @@ class TestFlatHills:
 
     @pytest.mark.parametrize("family", ["flat_power", "flat_scaled"])
     def test_scaled_computes_pi_once(self, family, ctx50, monkeypatch):
+        # every term asks for a larger scale; pi_scaled grows its cache
+        # geometrically, so pi is computed a logarithmic number of times
         import flinthills.mpreal as mpreal
+        import flinthills.series as series
 
-        calls = []
-        machin = mpreal._pi_machin_scaled
+        calls, asked = [], []
+        machin, scaled = mpreal._pi_machin_scaled, mpreal.pi_scaled
         monkeypatch.setattr(mpreal, "_pi_machin_scaled", lambda d: calls.append(d) or machin(d))
+        monkeypatch.setattr(series, "pi_scaled", lambda d: asked.append(d) or scaled(d))
         monkeypatch.setattr(mpreal, "_pi_cache", {})
         fh.partial_sum(flat_spec(family, "nearest", 2, 1, 200), ctx50)
-        assert len(calls) == 1
+        assert len(calls) <= 1 + math.ceil(math.log2(max(asked) / asked[0]))
 
     @pytest.mark.parametrize("family", ["flat_power", "flat_scaled"])
     def test_non_finite_exponent_rejected_before_pi(self, family, ctx50, monkeypatch):
