@@ -10,7 +10,6 @@ the last rename wins.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sys
 from pathlib import Path
@@ -32,6 +31,8 @@ def _payload(terms) -> str:
 
 
 def _digest(payload: str) -> str:
+    import hashlib  # here, not at module import: most commands never touch the cache
+
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 

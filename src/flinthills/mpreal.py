@@ -11,6 +11,10 @@ Sines of exact rational arguments are reduced modulo pi in exact scaled-integer
 arithmetic, with pi carried to twice the numerator's digit length in extra
 digits: near a numerator of a convergent of pi the residue m - q*pi can be as
 small as ~1/q, and the result must stay relatively accurate there.
+
+A run of sines at consecutive indices (SineRun) returns the same bits as the
+per-index path: a rotation recurrence supplies each value, and it is used only
+when Ziv's rounding test shows that it rounds to what mpmath's sine returns.
 """
 
 from __future__ import annotations
@@ -20,8 +24,19 @@ import math
 import threading
 from importlib import resources
 
+import mpmath
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_int, mpf_cos, mpf_cos_sin, mpf_div, mpf_neg, mpf_sin
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_cos,
+    mpf_cos_sin,
+    mpf_div,
+    mpf_mul,
+    mpf_neg,
+    mpf_sin,
+)
+from mpmath.libmp.libelefun import COS_SIN_CACHE_PREC, cos_sin_basecase
 
 from .errors import CrossCheckError, DomainError, PrecisionError
 
@@ -278,17 +293,21 @@ def _rounded_power_of_ten(red: int, prec: int, rnd: str):
     return from_int(10**red, prec, rnd)
 
 
+def _residue_argument(r: int, red: int, prec: int, rnd: str):
+    """r/10**red as mp.mpf(r) / mp.mpf(10**red) forms it: both operands rounded
+    to working precision, then divided."""
+    return mpf_div(from_int(r, prec, rnd), _rounded_power_of_ten(red, prec, rnd), prec, rnd)
+
+
 def _reduce_mod_pi(num: int, den: int, m, red: int, ctx: RealContext, want: str):
     """sin, cos or (sin, cos) of pi*num/den + m as raw mpf values, evaluated at its residue r.
 
-    r/10**red is formed as mp.mpf(r) / mp.mpf(10**red) forms it: both operands
-    rounded to working precision, then divided.  A shift by pi negates sine
-    and cosine alike, so the values flip sign when q is odd.  want is "sin",
-    "cos" or "sincos".
+    A shift by pi negates sine and cosine alike, so the values flip sign when
+    q is odd.  want is "sin", "cos" or "sincos".
     """
     q, r = residue_mod_pi(num, den, m, red)
     prec, rnd = ctx._mp._prec_rounding
-    x = mpf_div(from_int(r, prec, rnd), _rounded_power_of_ten(red, prec, rnd), prec, rnd)
+    x = _residue_argument(r, red, prec, rnd)
     if want == "sincos":
         cv, sv = mpf_cos_sin(x, prec, rnd)
         return (mpf_neg(sv, prec, rnd), mpf_neg(cv, prec, rnd)) if q & 1 else (sv, cv)
@@ -317,3 +336,234 @@ def sincos_pi_rational_plus_int(num: int, den: int, m: int, ctx: RealContext):
     red = ctx.effective_digits + 2 * decimal_length(abs(num) // den + abs(m) + 1) + 2
     sv, cv = _reduce_mod_pi(num, den, m, red, ctx, "sincos")
     return ctx._mp.make_mpf(sv), ctx._mp.make_mpf(cv)
+
+
+# ---------------------------------------------------------------------------
+# certified sines along a run of consecutive indices
+# ---------------------------------------------------------------------------
+
+_ROTATION_GUARD = 64  # the rotation carries prec + 64 bits
+_ANCHOR_EVERY = 1024  # rotation steps between two anchors
+_MAGNITUDES = range(-7, 3)  # mag of the arguments analysed: 2**-8 <= |x| < 4
+
+
+def _mpmath_analysed(version: str) -> bool:
+    """True for the mpmath releases whose sine the bounds below were read from (1.3.x)."""
+    return version.split(".")[:2] == ["1", "3"]
+
+
+def _cos_sin_error(p: int) -> int:
+    """Bound, in units of 2**-p, on the error of either value of mpmath 1.3's
+    fixed-point ``cos_sin_basecase(t, p)`` against cos and sin of t/2**p, 0 <= t < 2**(p+1).
+
+    Read from ``mpmath/libmp/libelefun.py`` 1.3.  Up to COS_SIN_CACHE_PREC bits
+    (400 on the Python backend, 200 under gmpy2) t splits into its top 8 bits,
+    whose cos and sin come from a table built by ``exponential_series`` and
+    shifted down (each within 2 units), and a rest below 2**-8, whose cos and
+    sin are Taylor sums.  Each term of those sums is a floor of a product and
+    a floor division, off by at most 1 + 1.01/k units, and the loop stops
+    within two terms of the first k with k 2**(p-8k) < k!; with K that k,
+    each sum is within K/2 + 4 units.  The addition formula mixes the two sums
+    like a rotation (their error grows by at most sqrt 2), adds 2.01 for the
+    table and one for its floor: under 0.71 K + 8.7 units.
+    Above COS_SIN_CACHE_PREC, ``exponential_series`` sums the series of
+    cos(t/2**r) with 10 + 2 max(r, -mag t) extra bits (e0 < p/8 + 20 units
+    there), doubles the angle r times (each doubling multiplies the error by
+    at most 4 and adds one) and takes the sine as sqrt(1 - cos**2), which
+    multiplies the error by cot(t) < 2**(1 - mag t); the extra bits absorb
+    both, so each value is within 1 + (e0 + 1)/512 + 2**-10 units.
+    """
+    if p > COS_SIN_CACHE_PREC:
+        return 3 + p // 1024
+    k = 2
+    while k << p >= math.factorial(k) << (8 * k):
+        k += 1
+    return k + 12
+
+
+def _mpmath_sin_error(mag: int, prec: int) -> tuple[int, int]:
+    """(bound, wp): mpf_sin(x, prec) rounds a fixed-point S at 2**-wp that is
+    within bound units of sin x, for x with mag(x) = mag in _MAGNITUDES.
+
+    ``mpf_cos_sin`` works at prec + 10 bits.  ``mod_pi2`` turns x into a fixed
+    point t: for mag <= 0 at wp = prec + 10 - mag, truncated (under one unit);
+    for mag > 0 it takes x modulo pi/2 at wp + mag + 20 bits and drops mag
+    bits, so wp = prec + 30, and t is off by under 5 units (one for the floor,
+    at most two quarter turns of pi_fixed's error of at most 4 units, halved).
+    When x lies within 2**-30 of a multiple of pi/2 it reduces again at a
+    larger wp, where the absolute bound is smaller still.  The quadrant swaps
+    and sign flips are exact.
+    """
+    wp = prec + 30 if mag > 0 else prec + 10 - mag
+    return _cos_sin_error(wp) + 5, wp
+
+
+def _round_certified(a: int, err: int, bits: int, prec: int):
+    """a/2**bits rounded to prec bits (nearest, ties to even) as a raw mpf, if
+    every value strictly within err/2**bits of it rounds the same; else None.
+
+    That holds when no rounding midpoint and no power of two lies in the
+    interval (Ziv's test)."""
+    lo, hi = abs(a) - err, abs(a) + err
+    shift = hi.bit_length() - prec
+    if lo <= 0 or lo.bit_length() != hi.bit_length() or shift < 1:
+        return None
+    half = 1 << (shift - 1)
+    k = (lo + half) >> shift
+    if k != (hi + half) >> shift:
+        return None
+    return from_man_exp(-k if a < 0 else k, shift - bits)
+
+
+class SineRun:
+    """sin n, or sin(pi alpha_scaled n / 10**eff), as raw mpf values for indices n in 1..end.
+
+    Each call returns exactly the bits of the per-index path.  Without
+    alpha_scaled that is ``sin_int(n, ctx)._mpf_``: the residue (q, r) of n at
+    ``reduction_digits(n)`` scale digits, x = r/10**red rounded as
+    ``_residue_argument`` rounds it, and mpf_sin(x) negated for odd q.  With
+    alpha_scaled it is what the alpha-pi series took: whole, frac =
+    divmod(alpha_scaled n, 10**eff), x = pi_const * (frac/10**eff) rounded
+    at each step, and mpf_sin(x) negated for odd whole.  Calls on ascending
+    consecutive n are fast; any other index starts the run afresh.
+
+    The residues step exactly (one addition and at most one subtraction per
+    index), so each x is the per-index argument, bit for bit.  Then
+    sin(x) = +-sin(phi + delta), where phi is the exact angle (n, or
+    pi alpha_scaled n / 10**eff) and delta = x - (phi reduced), and the value
+    is rounded from A = sin phi + delta cos phi at B = prec + 64 bits:
+    - (cos phi, sin phi) advance by a fixed-point rotation, re-anchored every
+      _ANCHOR_EVERY steps from the exact reduced angle by
+      ``cos_sin_basecase``.  Anchor and step values are each within
+      rho = _cos_sin_error(B) + 3 units (the angle, formed with pi at
+      L = B + bits(end) + 4 bits, is within 3 units).  A rotation with
+      entries within rho and a floor per step adds at most sqrt 2 (rho + 1)
+      to the error norm per step (Higham, Accuracy and Stability of
+      Numerical Algorithms, on recurrences), so after j steps the error is
+      within 2 rho + j (2 rho + 2) units.
+    - delta comes from the exact bits of x and pi at L bits, within 1/8 unit;
+      the product's floor adds one, and the neglected terms are below
+      delta**2 (measured per index).
+    The value is used only when the interval of that bound plus mpmath's
+    (_mpmath_sin_error) holds no rounding boundary at prec bits (Ziv's test):
+    then mpf_sin(x), which rounds a value inside it, returns the same bits.
+    Otherwise the term takes the per-index mpf_sin(x), and so does every term
+    on mpmath other than 1.3.x, with |x| < 2**-8, with |x| >= 4 or past end.
+    ``fallbacks`` counts those terms.
+    """
+
+    def __init__(self, ctx: RealContext, end: int, alpha_scaled: int | None = None):
+        self._ctx, self._end, self._alpha = ctx, end, alpha_scaled
+        self.fallbacks = 0
+        self._next = None  # the index after the last one served; None before set-up
+
+    def _setup(self) -> None:
+        """Constants of the run; pi is asked for at the largest scale first, so it is computed once."""
+        ctx = self._ctx
+        prec, rnd = self._prec, self._rnd = ctx._mp._prec_rounding
+        bits = self._bits = prec + _ROTATION_GUARD
+        wide = self._wide = bits + self._end.bit_length() + 4
+        pi_digits = wide * 30103 // 100000 + 2  # 10**pi_digits > 2**wide
+        if self._alpha is None:
+            pi_digits = max(pi_digits, reduction_digits(self._end, ctx))
+        self._pi = (pi_scaled(pi_digits) << wide) // 10**pi_digits  # under 2 units below pi 2**wide
+        self._pi_bits = self._pi >> (wide - bits)
+        if self._alpha is None:
+            self._turn = self._angle(1 << wide, 0)
+        else:
+            scale = self._scale = 10**ctx.effective_digits
+            self._pi_val = pi_const(ctx)._mpf_
+            self._exact_scale = from_int(scale)
+            self._alpha_parts = divmod(self._alpha, scale)
+            self._turn = self._angle((self._pi * self._alpha_parts[1]) // scale, self._alpha_parts[0])
+        # per-index error in units of 2**-B: 2 rho for the anchor, 2 rho + 2 per
+        # step, and 4 for delta's error, two floors and the strict inequality
+        rho = _cos_sin_error(bits) + 3
+        self._base_err, self._step_err = 2 * rho + 4, 2 * rho + 2
+        self._mpmath_err = {}
+        if _mpmath_analysed(mpmath.__version__):
+            for mag in _MAGNITUDES:
+                bound, wp = _mpmath_sin_error(mag, prec)
+                self._mpmath_err[mag] = bound << (bits - wp)
+
+    def _angle(self, theta: int, odd: int) -> tuple[int, int]:
+        """(cos, sin) at 2**-B of theta/2**L + odd*pi, for |theta| < pi 2**L."""
+        t = theta >> (self._wide - self._bits)
+        if 2 * abs(t) > self._pi_bits:
+            c, s = cos_sin_basecase(self._pi_bits - abs(t), self._bits)
+            c = -c
+        else:
+            c, s = cos_sin_basecase(abs(t), self._bits)
+        if t < 0:
+            s = -s
+        return (-c, -s) if odd & 1 else (c, s)
+
+    def _restart(self, n: int) -> None:
+        """Set the residue to n."""
+        if self._alpha is not None:
+            self._whole, self._frac = divmod(self._alpha * n, self._scale)
+            return
+        self._n_bits = n.bit_length()  # the reduction scale depends on it alone
+        red = self._red = reduction_digits(n, self._ctx)
+        self._ten, self._p = 10**red, pi_scaled(red)
+        self._q, self._r = divmod(n * self._ten, self._p)
+
+    def _step(self, n: int) -> None:
+        """Move the residue from n - 1 to n."""
+        if self._alpha is not None:
+            whole, frac = self._alpha_parts
+            self._whole += whole
+            self._frac += frac
+            if self._frac >= self._scale:
+                self._whole, self._frac = self._whole + 1, self._frac - self._scale
+        elif n.bit_length() != self._n_bits:  # a new reduction scale
+            self._restart(n)
+        else:
+            self._r += self._ten
+            if self._r >= self._p:
+                self._q, self._r = self._q + 1, self._r - self._p
+
+    def _reduced(self, n: int) -> tuple[int, tuple, int]:
+        """(parity, the per-index argument x, the reduced angle at 2**-L) at the residue of n."""
+        prec, rnd = self._prec, self._rnd
+        if self._alpha is not None:
+            frac = self._frac
+            x = mpf_mul(self._pi_val, mpf_div(from_int(frac, prec, rnd), self._exact_scale, prec, rnd), prec, rnd)
+            return self._whole, x, (self._pi * frac) // self._scale
+        q, r = self._q, self._r
+        if 2 * r > self._p:  # the nearest multiple, as residue_mod_pi takes it
+            q, r = q + 1, r - self._p
+        return q, _residue_argument(r, self._red, prec, rnd), (n << self._wide) - q * self._pi
+
+    def __call__(self, n: int):
+        if n == self._next:
+            self._step(n)
+        else:
+            if self._next is None:
+                self._setup()
+            self._restart(n)
+            self._steps = _ANCHOR_EVERY  # anchor at n
+        odd, x, theta = self._reduced(n)
+        if self._steps < _ANCHOR_EVERY:
+            c, s = self._cos, self._sin
+            tc, ts = self._turn
+            self._cos, self._sin = (c * tc - s * ts) >> self._bits, (s * tc + c * ts) >> self._bits
+            self._steps += 1
+        else:
+            self._cos, self._sin = self._angle(theta, odd)
+            self._steps = 0
+        self._next = n + 1
+        sign, man, exp, bc = x
+        bound = self._mpmath_err.get(exp + bc)
+        if man and bound is not None and n <= self._end:
+            wide, bits = self._wide, self._bits
+            delta = (-man if sign else man) << (exp + wide)
+            delta -= theta
+            a = self._sin + ((delta * self._cos) >> wide)
+            err = bound + self._base_err + self._steps * self._step_err + ((delta * delta) >> (2 * wide - bits))
+            value = _round_certified(a, err, bits, self._prec)
+            if value is not None:
+                return value
+        self.fallbacks += 1
+        value = mpf_sin(x, self._prec, self._rnd)
+        return mpf_neg(value, self._prec, self._rnd) if odd & 1 else value

@@ -14,8 +14,6 @@ Python's 4300-digit limit on int -> str.
 
 from __future__ import annotations
 
-import csv
-import json
 from decimal import Decimal
 
 import mpmath
@@ -26,6 +24,7 @@ from .mpreal import decimal_length
 FORMATS = ("plain", "csv", "json")
 DEFAULT_SIGNIFICANT_DIGITS = 6
 _INTEGERS = (int, Decimal)  # exact types: a bool renders as true/false
+_CSV_SPECIAL = (",", '"', "\r", "\n")  # a cell holding one may need csv.writer's quoting
 
 
 def _render(value, significant: int, json_mode: bool) -> str:
@@ -42,7 +41,11 @@ def _render(value, significant: int, json_mode: bool) -> str:
     if isinstance(value, _INTEGERS):
         return str(value)
     if isinstance(value, str):
-        return json.dumps(value) if json_mode else value
+        if not json_mode:
+            return value
+        import json
+
+        return json.dumps(value)
     return mpmath.nstr(value, significant)
 
 
@@ -66,6 +69,29 @@ def _column_width(header: str, column) -> int:
     return width
 
 
+def _csv_row_writer(out):
+    """cells -> one csv line on out, the bytes csv.writer writes.
+
+    A row csv.writer would not quote, no cell holding a comma, quote, CR or
+    LF and not one empty cell, is joined directly; csv.writer is loaded only
+    for the rest.
+    """
+    writer = None
+
+    def write(cells):
+        nonlocal writer
+        if cells != [""] and not any(c in cell for cell in cells for c in _CSV_SPECIAL):
+            out.write(",".join(cells) + "\n")
+            return
+        if writer is None:
+            import csv
+
+            writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(cells)
+
+    return write
+
+
 def emit_rows(rows: list[dict], kind: str, significant: int, out) -> None:
     """Write dict rows (shared key order) to the text stream ``out`` in the requested format."""
     if kind not in FORMATS:
@@ -74,12 +100,14 @@ def emit_rows(rows: list[dict], kind: str, significant: int, out) -> None:
         return
     keys = list(rows[0].keys())
     if kind == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(keys)
+        write = _csv_row_writer(out)
+        write(keys)
         for row in rows:
-            writer.writerow([_render(row.get(k), significant, json_mode=False) for k in keys])
+            write([_render(row.get(k), significant, json_mode=False) for k in keys])
         return
     if kind == "json":
+        import json
+
         for row in rows:
             parts = [f"{json.dumps(k)}: {_render(row.get(k), significant, json_mode=True)}" for k in keys]
             out.write("{" + ", ".join(parts) + "}\n")

@@ -31,7 +31,6 @@ from mpmath.libmp import (
     mpf_gt,
     mpf_lt,
     mpf_mul,
-    mpf_neg,
     mpf_pow,
     mpf_pow_int,
     mpf_rdiv_int,
@@ -46,7 +45,7 @@ from .errors import (
     PrecisionInsufficientError,
     SingularArgumentError,
 )
-from .mpreal import RealContext, decimal_length, pi_const, pi_scaled, sin_int, to_scaled
+from .mpreal import RealContext, SineRun, decimal_length, pi_const, pi_scaled, sin_int, to_scaled
 
 FAMILIES = ("flint", "lacunary", "alpha_pi", "flat_power", "flat_scaled")
 FLAT_VARIANTS = ("nearest", "frac")
@@ -180,30 +179,20 @@ def _record_indices(x: int) -> list[int]:
     return list(itertools.takewhile(lambda p: p <= x, itertools.chain([1], numerators)))
 
 
-def _alpha_pi_sine(alpha, ctx: RealContext):
-    """n -> sin(alpha pi n) as a raw mpf.
+def _alpha_pi_sine(alpha, ctx: RealContext, end: int):
+    """n -> sin(alpha pi n) as a raw mpf, for n in 1..end.
 
     alpha n is split into integer and fractional parts in exact scaled
     arithmetic before the sine is taken, so pi never multiplies a large n at
-    working precision.  The fractional part is rounded to working precision
-    and divided by the exact scale.  A sine below 10^(5-decimal_digits)
-    cannot be resolved and raises.
+    working precision (SineRun).  A sine below 10^(5-decimal_digits) cannot
+    be resolved and raises.
     """
     mp = ctx._mp
-    prec, rnd = mp._prec_rounding
-    eff = ctx.effective_digits
-    scale = 10**eff
-    exact_scale = from_int(scale)
-    alpha_scaled = to_scaled(mp.mpf(alpha), eff)
-    pi_val = pi_const(ctx)._mpf_
+    run = SineRun(ctx, end, to_scaled(mp.mpf(alpha), ctx.effective_digits))
     floor_limit = (mp.mpf(10) ** (5 - ctx.decimal_digits))._mpf_
 
     def sine(n):
-        whole, frac = divmod(alpha_scaled * n, scale)
-        x = mpf_mul(pi_val, mpf_div(from_int(frac, prec, rnd), exact_scale, prec, rnd), prec, rnd)
-        s = mpf_sin(x, prec, rnd)
-        if whole & 1:
-            s = mpf_neg(s, prec, rnd)
+        s = run(n)
         if mpf_lt(mpf_abs(s), floor_limit):
             raise PrecisionInsufficientError(
                 f"sin(alpha pi n) below resolution at n={n}; raise precision"
@@ -306,7 +295,7 @@ def _terms(spec: SeriesSpec, ctx: RealContext, end: int):
         if x < 1:
             raise DomainError("x must be >= 1")
         _check_uv(spec.u, spec.v)
-        return range(1, end + 1), lambda n: sin_int(n, ctx)._mpf_
+        return range(1, end + 1), SineRun(ctx, end)
     if spec.family == "lacunary":
         if x < 0:
             raise DomainError("x must be >= 0")
@@ -319,7 +308,7 @@ def _terms(spec: SeriesSpec, ctx: RealContext, end: int):
         if x < 0:
             raise DomainError("x must be >= 0")
         _check_uv(spec.u, spec.v)
-        return range(1, end + 1), _alpha_pi_sine(spec.alpha, ctx)
+        return range(1, end + 1), _alpha_pi_sine(spec.alpha, ctx, end)
     if spec.family in ("flat_power", "flat_scaled"):
         if spec.variant not in FLAT_VARIANTS:
             raise DomainError(f"unknown variant {spec.variant!r}; known: {', '.join(FLAT_VARIANTS)}")

@@ -575,3 +575,19 @@ class TestStreamedConvergents:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 0
         assert (len(head), err) == (100, stderr)
+
+
+class TestColdImports:
+    def test_plain_kernel_loads_no_hashlib_csv_or_json(self):
+        """Those three are imported where they are used; every layer module still loads eagerly."""
+        code = (
+            "import sys\n"
+            "from flinthills.cli import run\n"
+            "run(['kernel', '--type', 'dirichlet', '--x', '10', '--z', '1', '--format', 'plain'])\n"
+            "layers = ('mpreal', 'contfrac', 'diophantine', 'kernels', 'series', 'stats', 'cache', 'output', 'cli')\n"
+            "print([m for m in ('hashlib', 'csv', 'json') if m in sys.modules],\n"
+            "      all(f'flinthills.{m}' in sys.modules for m in layers), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=cold_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "[] True\n")

@@ -1,5 +1,6 @@
 """Row emission: streamed writes, and plain widths measured without rendering integers."""
 
+import csv
 import io
 from decimal import Decimal
 
@@ -67,3 +68,29 @@ class TestStreaming:
         out = io.StringIO()
         emit_rows([], "csv", 6, out)
         assert out.getvalue() == ""
+
+
+class TestCsvRows:
+    """Rows csv.writer would not quote are joined directly; the bytes must not change."""
+
+    _TEXT = st.text(alphabet=st.sampled_from('a1 ,"\r\n'), max_size=5)
+    _CELLS = st.one_of(st.integers(), st.builds(Decimal, st.integers()), st.none(), st.booleans(), _TEXT,
+                       st.builds(mpmath.mpf, st.floats(allow_nan=False, allow_infinity=False)))
+
+    @staticmethod
+    def _reference(rows, significant):
+        keys = list(rows[0])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(keys)
+        for row in rows:
+            writer.writerow([_render(row.get(k), significant, json_mode=False) for k in keys])
+        return buf.getvalue()
+
+    @given(keys=st.lists(_TEXT, min_size=1, max_size=4, unique=True), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_csv_writer(self, keys, data):
+        rows = data.draw(st.lists(st.fixed_dictionaries({k: self._CELLS for k in keys}), min_size=1, max_size=6))
+        buf = io.StringIO()
+        emit_rows(rows, "csv", 6, buf)
+        assert buf.getvalue() == self._reference(rows, 6)
