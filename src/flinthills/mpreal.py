@@ -13,8 +13,9 @@ digits: near a numerator of a convergent of pi the residue m - q*pi can be as
 small as ~1/q, and the result must stay relatively accurate there.
 
 A run of sines at consecutive indices (SineRun) returns the same bits as the
-per-index path: a rotation recurrence supplies each value, and it is used only
-when Ziv's rounding test shows that it rounds to what mpmath's sine returns.
+per-index path: the residues step exactly (FlintResidues, AlphaPiResidues), a
+rotation recurrence supplies each value, and it is used only when Ziv's
+rounding test shows that it rounds to what mpmath's sine returns.
 """
 
 from __future__ import annotations
@@ -249,7 +250,8 @@ def to_scaled(x, digits: int) -> int:
 
 
 def decimal_length(n: int) -> int:
-    """Decimal digit count of |n|, within one above the exact count, never below."""
+    """Decimal digit count of |n|, within one above the exact count, never below,
+    and non-decreasing in |n| (FlintResidues finds where its scale changes by search)."""
     if n == 0:
         return 1
     bits = abs(n).bit_length()
@@ -315,8 +317,14 @@ def _reduce_mod_pi(num: int, den: int, m, red: int, ctx: RealContext, want: str)
     return mpf_neg(value, prec, rnd) if q & 1 else value
 
 
-def sin_int(m, ctx: RealContext):
-    """sin(m) for an exact int or Fraction m of any magnitude, reduced exactly modulo pi."""
+def sin_int(m, ctx: RealContext, run=None):
+    """sin(m) for an exact int or Fraction m of any magnitude, reduced exactly modulo pi.
+
+    With run, a SineRun of FlintResidues for ctx, an int m in 1..end is taken
+    from it: the same bits, and fast along consecutive m.
+    """
+    if run is not None:
+        return ctx._mp.make_mpf(run(m))
     return ctx._mp.make_mpf(_reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx, "sin"))
 
 
@@ -415,23 +423,114 @@ def _round_certified(a: int, err: int, bits: int, prec: int):
     return from_man_exp(-k if a < 0 else k, shift - bits)
 
 
+class FlintResidues:
+    """n modulo pi as sin_int reduces it, stepped exactly along consecutive n.
+
+    At red = reduction_digits(n) scale digits, (q, r) = divmod(n 10**red, p)
+    with p = pi_scaled(red).  While red holds, n + 1 adds 10**red to r and
+    subtracts p at most once, so the stepped (q, r) are the integers
+    ``residue_mod_pi`` computes; past the last index at red it starts afresh.
+    """
+
+    def __init__(self, ctx: RealContext, end: int):
+        self._ctx = ctx
+        self._prec, self._rnd = ctx._mp._prec_rounding
+        self.pi_digits = reduction_digits(end, ctx)  # the largest scale reduced at, up to end
+
+    def start(self, wide: int, pi: int) -> tuple[int, int]:
+        """Take pi at 2**-wide; return one step's angle as (theta at 2**-wide, odd)."""
+        self._wide, self._pi = wide, pi
+        return 1 << wide, 0
+
+    def seek(self, n: int) -> tuple[int, tuple, int]:
+        """Set the residue to that of n; returns (parity, x, theta) there."""
+        ctx = self._ctx
+        red = reduction_digits(n, ctx)
+        # the last index at this scale, by search: reduction_digits does not decrease
+        last, over = n, 2 * n + 2
+        while reduction_digits(over, ctx) == red:
+            last, over = over, 2 * over + 2
+        while over - last > 1:
+            mid = (last + over) // 2
+            last, over = (mid, over) if reduction_digits(mid, ctx) == red else (last, mid)
+        self._last = last
+        self._ten, self._p, self._red = 10**red, pi_scaled(red), red
+        self._q, self._r = divmod(n * self._ten, self._p)
+        return self._reduced(n)
+
+    def step(self, n: int) -> tuple[int, tuple, int]:
+        """Step the residue from n - 1 to n; returns (parity, x, theta) there."""
+        if n > self._last:
+            return self.seek(n)
+        self._r += self._ten
+        if self._r >= self._p:
+            self._q, self._r = self._q + 1, self._r - self._p
+        return self._reduced(n)
+
+    def _reduced(self, n: int) -> tuple[int, tuple, int]:
+        """(parity, sin_int's argument x, the reduced angle at 2**-wide) at the residue of n."""
+        q, r = self._q, self._r
+        if 2 * r > self._p:  # the nearest multiple, as residue_mod_pi takes it
+            q, r = q + 1, r - self._p
+        return q, _residue_argument(r, self._red, self._prec, self._rnd), (n << self._wide) - q * self._pi
+
+
+class AlphaPiResidues:
+    """pi alpha n modulo pi as the alpha-pi series reduces it, stepped exactly along consecutive n.
+
+    whole, frac = divmod(alpha_scaled n, 10**eff), and the argument is
+    pi_const * (frac/10**eff) rounded at each step; n + 1 adds alpha_scaled's
+    own whole and fractional parts, carrying at most one.
+    """
+
+    def __init__(self, ctx: RealContext, alpha_scaled: int):
+        self._ctx, self._alpha = ctx, alpha_scaled
+        self._prec, self._rnd = ctx._mp._prec_rounding
+        self._scale = 10**ctx.effective_digits
+        self._exact_scale = from_int(self._scale)
+        self._parts = divmod(alpha_scaled, self._scale)
+        self.pi_digits = ctx.effective_digits  # pi_const's scale
+
+    def start(self, wide: int, pi: int) -> tuple[int, int]:
+        """Take pi at 2**-wide; return one step's angle as (theta at 2**-wide, odd)."""
+        self._pi = pi
+        self._pi_val = pi_const(self._ctx)._mpf_
+        whole, frac = self._parts
+        return (pi * frac) // self._scale, whole
+
+    def seek(self, n: int) -> tuple[int, tuple, int]:
+        """Set the residue to that of n; returns (parity, x, theta) there."""
+        self._whole, self._frac = divmod(self._alpha * n, self._scale)
+        return self._reduced()
+
+    def step(self, n: int) -> tuple[int, tuple, int]:
+        """Step the residue from n - 1 to n; returns (parity, x, theta) there."""
+        whole, frac = self._parts
+        self._whole += whole
+        self._frac += frac
+        if self._frac >= self._scale:
+            self._whole, self._frac = self._whole + 1, self._frac - self._scale
+        return self._reduced()
+
+    def _reduced(self) -> tuple[int, tuple, int]:
+        """(parity, the series' argument x, the reduced angle at 2**-wide) at the current residue."""
+        prec, rnd, frac = self._prec, self._rnd, self._frac
+        x = mpf_mul(self._pi_val, mpf_div(from_int(frac, prec, rnd), self._exact_scale, prec, rnd), prec, rnd)
+        return self._whole, x, (self._pi * frac) // self._scale
+
+
 class SineRun:
-    """sin n, or sin(pi alpha_scaled n / 10**eff), as raw mpf values for indices n in 1..end.
+    """The sines of a run of consecutive indices 1..end as raw mpf values, bit
+    for bit the per-index path of its residues (FlintResidues or AlphaPiResidues).
 
-    Each call returns exactly the bits of the per-index path.  Without
-    alpha_scaled that is ``sin_int(n, ctx)._mpf_``: the residue (q, r) of n at
-    ``reduction_digits(n)`` scale digits, x = r/10**red rounded as
-    ``_residue_argument`` rounds it, and mpf_sin(x) negated for odd q.  With
-    alpha_scaled it is what the alpha-pi series took: whole, frac =
-    divmod(alpha_scaled n, 10**eff), x = pi_const * (frac/10**eff) rounded
-    at each step, and mpf_sin(x) negated for odd whole.  Calls on ascending
-    consecutive n are fast; any other index starts the run afresh.
+    The residues give, per index, the parity, the per-index argument x and the
+    exact angle phi reduced (n, or pi alpha_scaled n / 10**eff, less a multiple
+    of pi), at 2**-L.  The per-index value is mpf_sin(x), negated for odd
+    parity.  Calls on ascending consecutive n are fast; any other index seeks
+    the residues afresh.
 
-    The residues step exactly (one addition and at most one subtraction per
-    index), so each x is the per-index argument, bit for bit.  Then
-    sin(x) = +-sin(phi + delta), where phi is the exact angle (n, or
-    pi alpha_scaled n / 10**eff) and delta = x - (phi reduced), and the value
-    is rounded from A = sin phi + delta cos phi at B = prec + 64 bits:
+    sin(x) = sin(phi + delta) with delta = x - phi, and the value is rounded
+    from A = sin phi + delta cos phi at B = prec + 64 bits:
     - (cos phi, sin phi) advance by a fixed-point rotation, re-anchored every
       _ANCHOR_EVERY steps from the exact reduced angle by
       ``cos_sin_basecase``.  Anchor and step values are each within
@@ -452,30 +551,20 @@ class SineRun:
     ``fallbacks`` counts those terms.
     """
 
-    def __init__(self, ctx: RealContext, end: int, alpha_scaled: int | None = None):
-        self._ctx, self._end, self._alpha = ctx, end, alpha_scaled
+    def __init__(self, ctx: RealContext, end: int, residues):
+        self._ctx, self._end, self._residues = ctx, end, residues
         self.fallbacks = 0
         self._next = None  # the index after the last one served; None before set-up
 
     def _setup(self) -> None:
         """Constants of the run; pi is asked for at the largest scale first, so it is computed once."""
-        ctx = self._ctx
-        prec, rnd = self._prec, self._rnd = ctx._mp._prec_rounding
+        prec, rnd = self._prec, self._rnd = self._ctx._mp._prec_rounding
         bits = self._bits = prec + _ROTATION_GUARD
         wide = self._wide = bits + self._end.bit_length() + 4
-        pi_digits = wide * 30103 // 100000 + 2  # 10**pi_digits > 2**wide
-        if self._alpha is None:
-            pi_digits = max(pi_digits, reduction_digits(self._end, ctx))
-        self._pi = (pi_scaled(pi_digits) << wide) // 10**pi_digits  # under 2 units below pi 2**wide
-        self._pi_bits = self._pi >> (wide - bits)
-        if self._alpha is None:
-            self._turn = self._angle(1 << wide, 0)
-        else:
-            scale = self._scale = 10**ctx.effective_digits
-            self._pi_val = pi_const(ctx)._mpf_
-            self._exact_scale = from_int(scale)
-            self._alpha_parts = divmod(self._alpha, scale)
-            self._turn = self._angle((self._pi * self._alpha_parts[1]) // scale, self._alpha_parts[0])
+        pi_digits = max(wide * 30103 // 100000 + 2, self._residues.pi_digits)  # 10**pi_digits > 2**wide
+        pi = (pi_scaled(pi_digits) << wide) // 10**pi_digits  # under 2 units below pi 2**wide
+        self._pi_bits = pi >> (wide - bits)
+        self._turn = self._angle(*self._residues.start(wide, pi))
         # per-index error in units of 2**-B: 2 rho for the anchor, 2 rho + 2 per
         # step, and 4 for delta's error, two floors and the strict inequality
         rho = _cos_sin_error(bits) + 3
@@ -498,52 +587,14 @@ class SineRun:
             s = -s
         return (-c, -s) if odd & 1 else (c, s)
 
-    def _restart(self, n: int) -> None:
-        """Set the residue to n."""
-        if self._alpha is not None:
-            self._whole, self._frac = divmod(self._alpha * n, self._scale)
-            return
-        self._n_bits = n.bit_length()  # the reduction scale depends on it alone
-        red = self._red = reduction_digits(n, self._ctx)
-        self._ten, self._p = 10**red, pi_scaled(red)
-        self._q, self._r = divmod(n * self._ten, self._p)
-
-    def _step(self, n: int) -> None:
-        """Move the residue from n - 1 to n."""
-        if self._alpha is not None:
-            whole, frac = self._alpha_parts
-            self._whole += whole
-            self._frac += frac
-            if self._frac >= self._scale:
-                self._whole, self._frac = self._whole + 1, self._frac - self._scale
-        elif n.bit_length() != self._n_bits:  # a new reduction scale
-            self._restart(n)
-        else:
-            self._r += self._ten
-            if self._r >= self._p:
-                self._q, self._r = self._q + 1, self._r - self._p
-
-    def _reduced(self, n: int) -> tuple[int, tuple, int]:
-        """(parity, the per-index argument x, the reduced angle at 2**-L) at the residue of n."""
-        prec, rnd = self._prec, self._rnd
-        if self._alpha is not None:
-            frac = self._frac
-            x = mpf_mul(self._pi_val, mpf_div(from_int(frac, prec, rnd), self._exact_scale, prec, rnd), prec, rnd)
-            return self._whole, x, (self._pi * frac) // self._scale
-        q, r = self._q, self._r
-        if 2 * r > self._p:  # the nearest multiple, as residue_mod_pi takes it
-            q, r = q + 1, r - self._p
-        return q, _residue_argument(r, self._red, prec, rnd), (n << self._wide) - q * self._pi
-
     def __call__(self, n: int):
         if n == self._next:
-            self._step(n)
+            odd, x, theta = self._residues.step(n)
         else:
             if self._next is None:
                 self._setup()
-            self._restart(n)
+            odd, x, theta = self._residues.seek(n)
             self._steps = _ANCHOR_EVERY  # anchor at n
-        odd, x, theta = self._reduced(n)
         if self._steps < _ANCHOR_EVERY:
             c, s = self._cos, self._sin
             tc, ts = self._turn

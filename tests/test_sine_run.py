@@ -28,7 +28,7 @@ from mpmath.libmp.libelefun import COS_SIN_CACHE_PREC, cos_sin_basecase, mod_pi2
 
 import flinthills as fh
 from flinthills import mpreal, series
-from flinthills.mpreal import SineRun, pi_const, sin_int, to_scaled
+from flinthills.mpreal import AlphaPiResidues, FlintResidues, SineRun, pi_const, sin_int, to_scaled
 
 ALPHAS = (None, "sqrt2", "golden", "sqrt3", "cbrt2")
 
@@ -62,8 +62,14 @@ def outcome(run):
         return type(exc).__name__, str(exc)
 
 
+def sine_run(ctx, scaled, end):
+    """The run of flint sines (scaled None) or of alpha-pi sines for alpha_scaled = scaled."""
+    residues = FlintResidues(ctx, end) if scaled is None else AlphaPiResidues(ctx, scaled)
+    return SineRun(ctx, end, residues)
+
+
 def run_values(ctx, scaled, indices, end=None):
-    run = SineRun(ctx, end or max(indices), scaled)
+    run = sine_run(ctx, scaled, end or max(indices))
     return [run(n) for n in indices], run
 
 
@@ -73,6 +79,7 @@ class TestMatchesPerIndexPath:
            length=st.integers(min_value=1, max_value=2000), alpha=st.sampled_from(ALPHAS))
     @example(digits=50, start=2**20 - 1000, length=2000, alpha=None)  # a new reduction scale mid-run
     @example(digits=109, start=1, length=2000, alpha="cbrt2")  # re-anchored past 1024 steps
+    @example(digits=50, start=10**6 - 1000, length=2000, alpha=None)  # across a power of ten
     def test_run(self, digits, start, length, alpha):
         ctx = fh.make_context(digits)
         scaled = alpha_scaled(alpha, ctx)
@@ -96,6 +103,19 @@ class TestMatchesPerIndexPath:
         sine = per_index_sine(ctx, alpha_scaled(alpha, ctx))
         want = outcome(lambda: series._run_sum(ctx._mp, range(1, max(marks) + 1), sine, spec, marks))
         assert outcome(lambda: fh.partial_sum(spec, ctx, marks)) == want
+
+    @pytest.mark.parametrize("start", [10**4 - 50, 10**5 - 50, 2**14 - 50])
+    def test_exact_decimal_length(self, monkeypatch, ctx50, start):
+        """decimal_length may return the exact digit count: the run then reduces at a new
+        scale from the power of ten on, as sin_int does."""
+        monkeypatch.setattr(mpreal, "decimal_length", lambda n: len(str(abs(n))))
+        indices = range(start, start + 100)
+        got, _ = run_values(ctx50, None, indices)
+        assert got == [sin_int(n, ctx50)._mpf_ for n in indices]
+
+    def test_sin_int_with_a_run(self, ctx50):
+        run = sine_run(ctx50, None, 500)
+        assert [sin_int(n, ctx50, run) for n in range(1, 501)] == [sin_int(n, ctx50) for n in range(1, 501)]
 
     def test_jumps_restart(self, ctx50):
         indices = [5, 6, 7, 100, 101, 3, 4, 10**5, 10**5 + 1]
@@ -147,7 +167,7 @@ class TestFallback:
         _, r = mpreal.residue_mod_pi(0, 1, n, red)
         x = mpreal._residue_argument(r, red, prec, rnd)
         assert self.midpoint_distance(x, prec) < Fraction(1, 10**6 if certified else 10**4)
-        run = SineRun(ctx50, n)
+        run = sine_run(ctx50, None, n)
         values = [run(m) for m in range(n - 5, n)]
         before = run.fallbacks
         values.append(run(n))
