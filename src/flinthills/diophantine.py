@@ -102,9 +102,7 @@ def measure_table(alpha, n_max: int, ctx: RealContext | None = None) -> list[Mea
     rows = []
     for c in convs[:n_max]:
         err = approximation_error(value, c.p, c.q, work)
-        mu = None
-        if c.q >= 2:
-            mu = -work._mp.ln(err) / work._mp.ln(c.q)
+        mu = empirical_measure(value, c.p, c.q, work) if c.q >= 2 else None
         rows.append(MeasurePoint(index=c.index + 1, p=c.p, q=c.q, error=err, mu_hat=mu))
     return rows
 

@@ -30,7 +30,6 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     from_int,
     from_man_exp,
-    mpf_cos,
     mpf_cos_sin,
     mpf_div,
     mpf_mul,
@@ -301,20 +300,16 @@ def _residue_argument(r: int, red: int, prec: int, rnd: str):
     return mpf_div(from_int(r, prec, rnd), _rounded_power_of_ten(red, prec, rnd), prec, rnd)
 
 
-def _reduce_mod_pi(num: int, den: int, m, red: int, ctx: RealContext, want: str):
-    """sin, cos or (sin, cos) of pi*num/den + m as raw mpf values, evaluated at its residue r.
+def _reduce_mod_pi(num: int, den: int, m, red: int, ctx: RealContext):
+    """(sin, cos) of pi*num/den + m as raw mpf values, evaluated at its residue r.
 
-    A shift by pi negates sine and cosine alike, so the values flip sign when
-    q is odd.  want is "sin", "cos" or "sincos".
+    A shift by pi negates sine and cosine alike, so both flip sign when q is
+    odd.  mpf_sin and mpf_cos are mpf_cos_sin's two values, rounded alike.
     """
     q, r = residue_mod_pi(num, den, m, red)
     prec, rnd = ctx._mp._prec_rounding
-    x = _residue_argument(r, red, prec, rnd)
-    if want == "sincos":
-        cv, sv = mpf_cos_sin(x, prec, rnd)
-        return (mpf_neg(sv, prec, rnd), mpf_neg(cv, prec, rnd)) if q & 1 else (sv, cv)
-    value = mpf_sin(x, prec, rnd) if want == "sin" else mpf_cos(x, prec, rnd)
-    return mpf_neg(value, prec, rnd) if q & 1 else value
+    cv, sv = mpf_cos_sin(_residue_argument(r, red, prec, rnd), prec, rnd)
+    return (mpf_neg(sv, prec, rnd), mpf_neg(cv, prec, rnd)) if q & 1 else (sv, cv)
 
 
 def sin_int(m, ctx: RealContext, run=None):
@@ -325,12 +320,12 @@ def sin_int(m, ctx: RealContext, run=None):
     """
     if run is not None:
         return ctx._mp.make_mpf(run(m))
-    return ctx._mp.make_mpf(_reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx, "sin"))
+    return ctx._mp.make_mpf(_reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx)[0])
 
 
 def cos_int(m, ctx: RealContext):
     """cos(m) for an exact int or Fraction m, by the same reduction as sin_int."""
-    return ctx._mp.make_mpf(_reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx, "cos"))
+    return ctx._mp.make_mpf(_reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx)[1])
 
 
 def sincos_pi_rational_plus_int(num: int, den: int, m: int, ctx: RealContext):
@@ -342,7 +337,7 @@ def sincos_pi_rational_plus_int(num: int, den: int, m: int, ctx: RealContext):
     if den <= 0:
         raise DomainError("denominator must be positive")
     red = ctx.effective_digits + 2 * decimal_length(abs(num) // den + abs(m) + 1) + 2
-    sv, cv = _reduce_mod_pi(num, den, m, red, ctx, "sincos")
+    sv, cv = _reduce_mod_pi(num, den, m, red, ctx)
     return ctx._mp.make_mpf(sv), ctx._mp.make_mpf(cv)
 
 
@@ -434,45 +429,32 @@ class FlintResidues:
 
     def __init__(self, ctx: RealContext, end: int):
         self._ctx = ctx
-        self._prec, self._rnd = ctx._mp._prec_rounding
         self.pi_digits = reduction_digits(end, ctx)  # the largest scale reduced at, up to end
 
-    def start(self, wide: int, pi: int) -> tuple[int, int]:
-        """Take pi at 2**-wide; return one step's angle as (theta at 2**-wide, odd)."""
-        self._wide, self._pi = wide, pi
-        return 1 << wide, 0
-
-    def seek(self, n: int) -> tuple[int, tuple, int]:
-        """Set the residue to that of n; returns (parity, x, theta) there."""
+    def run(self, n: int, wide: int, pi: int):
+        """Yield (parity, sin_int's argument x, the reduced angle at 2**-wide) for n, n + 1, ...;
+        pi is pi at 2**-wide."""
         ctx = self._ctx
-        red = reduction_digits(n, ctx)
-        # the last index at this scale, by search: reduction_digits does not decrease
-        last, over = n, 2 * n + 2
-        while reduction_digits(over, ctx) == red:
-            last, over = over, 2 * over + 2
-        while over - last > 1:
-            mid = (last + over) // 2
-            last, over = (mid, over) if reduction_digits(mid, ctx) == red else (last, mid)
-        self._last = last
-        self._ten, self._p, self._red = 10**red, pi_scaled(red), red
-        self._q, self._r = divmod(n * self._ten, self._p)
-        return self._reduced(n)
-
-    def step(self, n: int) -> tuple[int, tuple, int]:
-        """Step the residue from n - 1 to n; returns (parity, x, theta) there."""
-        if n > self._last:
-            return self.seek(n)
-        self._r += self._ten
-        if self._r >= self._p:
-            self._q, self._r = self._q + 1, self._r - self._p
-        return self._reduced(n)
-
-    def _reduced(self, n: int) -> tuple[int, tuple, int]:
-        """(parity, sin_int's argument x, the reduced angle at 2**-wide) at the residue of n."""
-        q, r = self._q, self._r
-        if 2 * r > self._p:  # the nearest multiple, as residue_mod_pi takes it
-            q, r = q + 1, r - self._p
-        return q, _residue_argument(r, self._red, self._prec, self._rnd), (n << self._wide) - q * self._pi
+        prec, rnd = ctx._mp._prec_rounding
+        while True:
+            red = reduction_digits(n, ctx)
+            # the last index at this scale, by search: reduction_digits does not decrease
+            last, over = n, 2 * n + 2
+            while reduction_digits(over, ctx) == red:
+                last, over = over, 2 * over + 2
+            while over - last > 1:
+                mid = (last + over) // 2
+                last, over = (mid, over) if reduction_digits(mid, ctx) == red else (last, mid)
+            ten, p = 10**red, pi_scaled(red)
+            q, r = divmod(n * ten, p)
+            for n in range(n, last + 1):
+                # the nearest multiple, as residue_mod_pi takes it
+                near, rest = (q + 1, r - p) if 2 * r > p else (q, r)
+                yield near, _residue_argument(rest, red, prec, rnd), (n << wide) - near * pi
+                r += ten
+                if r >= p:
+                    q, r = q + 1, r - p
+            n = last + 1
 
 
 class AlphaPiResidues:
@@ -485,49 +467,33 @@ class AlphaPiResidues:
 
     def __init__(self, ctx: RealContext, alpha_scaled: int):
         self._ctx, self._alpha = ctx, alpha_scaled
-        self._prec, self._rnd = ctx._mp._prec_rounding
-        self._scale = 10**ctx.effective_digits
-        self._exact_scale = from_int(self._scale)
-        self._parts = divmod(alpha_scaled, self._scale)
         self.pi_digits = ctx.effective_digits  # pi_const's scale
 
-    def start(self, wide: int, pi: int) -> tuple[int, int]:
-        """Take pi at 2**-wide; return one step's angle as (theta at 2**-wide, odd)."""
-        self._pi = pi
-        self._pi_val = pi_const(self._ctx)._mpf_
-        whole, frac = self._parts
-        return (pi * frac) // self._scale, whole
-
-    def seek(self, n: int) -> tuple[int, tuple, int]:
-        """Set the residue to that of n; returns (parity, x, theta) there."""
-        self._whole, self._frac = divmod(self._alpha * n, self._scale)
-        return self._reduced()
-
-    def step(self, n: int) -> tuple[int, tuple, int]:
-        """Step the residue from n - 1 to n; returns (parity, x, theta) there."""
-        whole, frac = self._parts
-        self._whole += whole
-        self._frac += frac
-        if self._frac >= self._scale:
-            self._whole, self._frac = self._whole + 1, self._frac - self._scale
-        return self._reduced()
-
-    def _reduced(self) -> tuple[int, tuple, int]:
-        """(parity, the series' argument x, the reduced angle at 2**-wide) at the current residue."""
-        prec, rnd, frac = self._prec, self._rnd, self._frac
-        x = mpf_mul(self._pi_val, mpf_div(from_int(frac, prec, rnd), self._exact_scale, prec, rnd), prec, rnd)
-        return self._whole, x, (self._pi * frac) // self._scale
+    def run(self, n: int, wide: int, pi: int):
+        """Yield (parity, the series' argument x, the reduced angle at 2**-wide) for n, n + 1, ...;
+        pi is pi at 2**-wide."""
+        prec, rnd = self._ctx._mp._prec_rounding
+        scale = 10**self._ctx.effective_digits
+        exact_scale, pi_val = from_int(scale), pi_const(self._ctx)._mpf_
+        step_whole, step_frac = divmod(self._alpha, scale)
+        whole, frac = divmod(self._alpha * n, scale)
+        while True:
+            x = mpf_mul(pi_val, mpf_div(from_int(frac, prec, rnd), exact_scale, prec, rnd), prec, rnd)
+            yield whole, x, (pi * frac) // scale
+            whole, frac = whole + step_whole, frac + step_frac
+            if frac >= scale:
+                whole, frac = whole + 1, frac - scale
 
 
 class SineRun:
     """The sines of a run of consecutive indices 1..end as raw mpf values, bit
     for bit the per-index path of its residues (FlintResidues or AlphaPiResidues).
 
-    The residues give, per index, the parity, the per-index argument x and the
-    exact angle phi reduced (n, or pi alpha_scaled n / 10**eff, less a multiple
-    of pi), at 2**-L.  The per-index value is mpf_sin(x), negated for odd
-    parity.  Calls on ascending consecutive n are fast; any other index seeks
-    the residues afresh.
+    A residue provider's run(n, L, pi) yields, for n, n + 1, ..., the parity,
+    the per-index argument x and the exact angle phi reduced (n, or
+    pi alpha_scaled n / 10**eff, less a multiple of pi), at 2**-L.  The
+    per-index value is mpf_sin(x), negated for odd parity.  Calls on ascending
+    consecutive n are fast; any other index opens a new run.
 
     sin(x) = sin(phi + delta) with delta = x - phi, and the value is rounded
     from A = sin phi + delta cos phi at B = prec + 64 bits:
@@ -563,8 +529,9 @@ class SineRun:
         wide = self._wide = bits + self._end.bit_length() + 4
         pi_digits = max(wide * 30103 // 100000 + 2, self._residues.pi_digits)  # 10**pi_digits > 2**wide
         pi = (pi_scaled(pi_digits) << wide) // 10**pi_digits  # under 2 units below pi 2**wide
-        self._pi_bits = pi >> (wide - bits)
-        self._turn = self._angle(*self._residues.start(wide, pi))
+        self._pi, self._pi_bits = pi, pi >> (wide - bits)
+        odd, _, theta = next(self._residues.run(1, wide, pi))  # index 1's reduced angle is one step
+        self._turn = self._angle(theta, odd)
         # per-index error in units of 2**-B: 2 rho for the anchor, 2 rho + 2 per
         # step, and 4 for delta's error, two floors and the strict inequality
         rho = _cos_sin_error(bits) + 3
@@ -588,13 +555,12 @@ class SineRun:
         return (-c, -s) if odd & 1 else (c, s)
 
     def __call__(self, n: int):
-        if n == self._next:
-            odd, x, theta = self._residues.step(n)
-        else:
+        if n != self._next:
             if self._next is None:
                 self._setup()
-            odd, x, theta = self._residues.seek(n)
+            self._reductions = self._residues.run(n, self._wide, self._pi)
             self._steps = _ANCHOR_EVERY  # anchor at n
+        odd, x, theta = next(self._reductions)
         if self._steps < _ANCHOR_EVERY:
             c, s = self._cos, self._sin
             tc, ts = self._turn

@@ -96,7 +96,7 @@ def quotient_histogram(pq: PartialQuotients, n: int) -> QuotientStats:
     freq_low = mp.mpf(histogram.get(1, 0) + histogram.get(2, 0)) / n
     return QuotientStats(
         n_terms=n,
-        geometric_mean=mp.exp(_log_sum(mp, pq.terms[1:n + 1]) / n),
+        geometric_mean=running_geometric_mean(pq, n, include_leading=False),
         histogram=histogram,
         max_term=(max_pos + 1, max_val),  # +1: leading term is position 1
         gk_expected=gk,

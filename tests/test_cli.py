@@ -532,6 +532,27 @@ class TestExpandAndCache:
         assert capsys.readouterr().err == f"warning: ignoring cache entry {path}: not a cache file\n"
 
 
+# Runs the CLI on argv[2:] and, at exit, writes its own peak RSS in kB (VmHWM) to argv[1]
+# where /proc is there.  ru_maxrss would not do: Linux folds the parent's high-water mark
+# into a child's at exec, and the pytest process may be past the bound itself.
+_CLI_RECORDING_PEAK = """
+import atexit, runpy, sys
+path = sys.argv.pop(1)
+
+def record():
+    try:
+        with open("/proc/self/status") as status:
+            peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return
+    with open(path, "w") as out:
+        out.write(peak)
+
+atexit.register(record)
+runpy.run_module("flinthills.cli", run_name="__main__")
+"""
+
+
 class TestStreamedConvergents:
     """Cold processes: the convergents table past Python's 4300-digit int -> str limit."""
 
@@ -542,9 +563,11 @@ class TestStreamedConvergents:
             return str(last.p), str(last.q)
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    def test_9200_rows_in_bounded_memory(self, fmt, last_row):
-        proc = cold_cli(["convergents", "--terms", "9200", "--format", fmt],
-                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    def test_9200_rows_in_bounded_memory(self, fmt, last_row, tmp_path):
+        peak = tmp_path / "peak_kb"
+        proc = subprocess.Popen([sys.executable, "-c", _CLI_RECORDING_PEAK, str(peak),
+                                 "convergents", "--terms", "9200", "--format", fmt],
+                                env=cold_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         tail = b""
         for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
             tail = (tail + chunk)[-(1 << 16):]
@@ -554,7 +577,10 @@ class TestStreamedConvergents:
         proc.stdout.close()
         proc.stderr.close()
         assert (proc.returncode, stderr) == (0, b"")
-        max_rss_mb = usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+        if peak.exists():
+            max_rss_mb = int(peak.read_text()) / (1 << 10)
+        else:
+            max_rss_mb = usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
         assert max_rss_mb < 100
         p, q = last_row
         assert len(p) > 4300

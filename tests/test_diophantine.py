@@ -43,6 +43,10 @@ class TestEmpiricalMeasure:
         with pytest.raises(fh.UndefinedMeasureError):
             fh.empirical_measure(fh.pi_const(ctx50), 3, 1, ctx50)
 
+    def test_exact_approximation_has_no_measure(self, ctx50):
+        with pytest.raises(fh.DomainError, match="equals alpha"):
+            fh.empirical_measure(ctx50.mpf(0.75), 3, 4, ctx50)
+
     def test_precision_invariance(self):
         a = fh.empirical_measure(fh.pi_const(fh.make_context(50)), 355, 113, fh.make_context(50))
         b = fh.empirical_measure(fh.pi_const(fh.make_context(100)), 355, 113, fh.make_context(100))

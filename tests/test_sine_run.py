@@ -77,7 +77,8 @@ class TestMatchesPerIndexPath:
     @settings(max_examples=40, deadline=None)
     @given(digits=st.integers(min_value=30, max_value=250), start=st.integers(min_value=1, max_value=10**6),
            length=st.integers(min_value=1, max_value=2000), alpha=st.sampled_from(ALPHAS))
-    @example(digits=50, start=2**20 - 1000, length=2000, alpha=None)  # a new reduction scale mid-run
+    @example(digits=50, start=2**19 - 1000, length=2000, alpha=None)  # a new reduction scale mid-run
+    @example(digits=50, start=8191, length=3, alpha=None)  # a new reduction scale after the first index
     @example(digits=109, start=1, length=2000, alpha="cbrt2")  # re-anchored past 1024 steps
     @example(digits=50, start=10**6 - 1000, length=2000, alpha=None)  # across a power of ten
     def test_run(self, digits, start, length, alpha):
