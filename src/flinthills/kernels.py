@@ -243,16 +243,20 @@ class IntegerTechniqueRow:
 
 
 def _floor_shift_parameter(p: int, ctx: RealContext) -> int:
-    """floor(x_n) for x_n = ((2^a+1)/2^a) pi p, computed in exact scaled form."""
-    v = v2(p)
-    a = 2 + 2 * v
+    """floor(x_n) for x_n = ((2^a+1)/2^a) pi p, computed in exact scaled form.
+
+    With P = pi_scaled(red) <= pi 10^red < P + 1 and m = (2^a+1) p, x_n lies in
+    [P m, (P + 1) m) / (2^a 10^red); the floor is certified when both ends share it.
+    """
+    a = 2 + 2 * v2(p)
     red = ctx.effective_digits + decimal_length(p) + 2
-    scale = 10**red
-    scaled = pi_scaled(red) * (((1 << a) + 1) * p) // (1 << a)
-    fraction = scaled % scale
-    if fraction < 10 or scale - fraction < 10:
+    den = 10**red << a
+    m = ((1 << a) + 1) * p
+    low = pi_scaled(red) * m
+    floor_x = low // den
+    if (low + m - 1) // den != floor_x:
         raise PrecisionInsufficientError(f"floor(x) ambiguous at p={p}; raise precision")
-    return scaled // scale
+    return floor_x
 
 
 def recip_sin_bound_integer_technique(n_max: int, ctx: RealContext) -> list[IntegerTechniqueRow]:

@@ -13,9 +13,9 @@ digits: near a numerator of a convergent of pi the residue m - q*pi can be as
 small as ~1/q, and the result must stay relatively accurate there.
 
 A run of sines at consecutive indices (SineRun) returns the same bits as the
-per-index path: the residues step exactly (FlintResidues, AlphaPiResidues), a
-rotation recurrence supplies each value, and it is used only when Ziv's
-rounding test shows that it rounds to what mpmath's sine returns.
+per-index path: the residues step exactly (the generators flint_residues and
+alpha_pi_residues), a rotation recurrence supplies each value, and it is used
+only when Ziv's rounding test shows that it rounds to what mpmath's sine returns.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def to_scaled(x, digits: int) -> int:
 
 def decimal_length(n: int) -> int:
     """Decimal digit count of |n|, within one above the exact count, never below,
-    and non-decreasing in |n| (FlintResidues finds where its scale changes by search)."""
+    and non-decreasing in |n| (flint_residues finds where its scale changes by search)."""
     if n == 0:
         return 1
     bits = abs(n).bit_length()
@@ -315,7 +315,7 @@ def _reduce_mod_pi(num: int, den: int, m, red: int, ctx: RealContext):
 def sin_int(m, ctx: RealContext, run=None):
     """sin(m) for an exact int or Fraction m of any magnitude, reduced exactly modulo pi.
 
-    With run, a SineRun of FlintResidues for ctx, an int m in 1..end is taken
+    With run, a SineRun of flint_residues for ctx, an int m in 1..end is taken
     from it: the same bits, and fast along consecutive m.
     """
     if run is not None:
@@ -418,79 +418,66 @@ def _round_certified(a: int, err: int, bits: int, prec: int):
     return from_man_exp(-k if a < 0 else k, shift - bits)
 
 
-class FlintResidues:
-    """n modulo pi as sin_int reduces it, stepped exactly along consecutive n.
+def flint_residues(ctx: RealContext, n: int, wide: int, pi: int):
+    """Yield (parity, sin_int's argument x, the reduced angle at 2**-wide) for n, n + 1, ...;
+    pi is pi at 2**-wide.
 
-    At red = reduction_digits(n) scale digits, (q, r) = divmod(n 10**red, p)
-    with p = pi_scaled(red).  While red holds, n + 1 adds 10**red to r and
+    n modulo pi as sin_int reduces it, stepped exactly: at red =
+    reduction_digits(n) scale digits, (q, r) = divmod(n 10**red, p) with
+    p = pi_scaled(red).  While red holds, n + 1 adds 10**red to r and
     subtracts p at most once, so the stepped (q, r) are the integers
     ``residue_mod_pi`` computes; past the last index at red it starts afresh.
     """
-
-    def __init__(self, ctx: RealContext, end: int):
-        self._ctx = ctx
-        self.pi_digits = reduction_digits(end, ctx)  # the largest scale reduced at, up to end
-
-    def run(self, n: int, wide: int, pi: int):
-        """Yield (parity, sin_int's argument x, the reduced angle at 2**-wide) for n, n + 1, ...;
-        pi is pi at 2**-wide."""
-        ctx = self._ctx
-        prec, rnd = ctx._mp._prec_rounding
-        while True:
-            red = reduction_digits(n, ctx)
-            # the last index at this scale, by search: reduction_digits does not decrease
-            last, over = n, 2 * n + 2
-            while reduction_digits(over, ctx) == red:
-                last, over = over, 2 * over + 2
-            while over - last > 1:
-                mid = (last + over) // 2
-                last, over = (mid, over) if reduction_digits(mid, ctx) == red else (last, mid)
-            ten, p = 10**red, pi_scaled(red)
-            q, r = divmod(n * ten, p)
-            for n in range(n, last + 1):
-                # the nearest multiple, as residue_mod_pi takes it
-                near, rest = (q + 1, r - p) if 2 * r > p else (q, r)
-                yield near, _residue_argument(rest, red, prec, rnd), (n << wide) - near * pi
-                r += ten
-                if r >= p:
-                    q, r = q + 1, r - p
-            n = last + 1
+    prec, rnd = ctx._mp._prec_rounding
+    while True:
+        red = reduction_digits(n, ctx)
+        # the last index at this scale, by search: reduction_digits does not decrease
+        last, over = n, 2 * n + 2
+        while reduction_digits(over, ctx) == red:
+            last, over = over, 2 * over + 2
+        while over - last > 1:
+            mid = (last + over) // 2
+            last, over = (mid, over) if reduction_digits(mid, ctx) == red else (last, mid)
+        ten, p = 10**red, pi_scaled(red)
+        q, r = divmod(n * ten, p)
+        for n in range(n, last + 1):
+            # the nearest multiple, as residue_mod_pi takes it
+            near, rest = (q + 1, r - p) if 2 * r > p else (q, r)
+            yield near, _residue_argument(rest, red, prec, rnd), (n << wide) - near * pi
+            r += ten
+            if r >= p:
+                q, r = q + 1, r - p
+        n = last + 1
 
 
-class AlphaPiResidues:
-    """pi alpha n modulo pi as the alpha-pi series reduces it, stepped exactly along consecutive n.
+def alpha_pi_residues(ctx: RealContext, alpha_scaled: int, n: int, wide: int, pi: int):
+    """Yield (parity, the series' argument x, the reduced angle at 2**-wide) for n, n + 1, ...;
+    pi is pi at 2**-wide.
 
+    pi alpha n modulo pi as the alpha-pi series reduces it, stepped exactly:
     whole, frac = divmod(alpha_scaled n, 10**eff), and the argument is
     pi_const * (frac/10**eff) rounded at each step; n + 1 adds alpha_scaled's
     own whole and fractional parts, carrying at most one.
     """
-
-    def __init__(self, ctx: RealContext, alpha_scaled: int):
-        self._ctx, self._alpha = ctx, alpha_scaled
-        self.pi_digits = ctx.effective_digits  # pi_const's scale
-
-    def run(self, n: int, wide: int, pi: int):
-        """Yield (parity, the series' argument x, the reduced angle at 2**-wide) for n, n + 1, ...;
-        pi is pi at 2**-wide."""
-        prec, rnd = self._ctx._mp._prec_rounding
-        scale = 10**self._ctx.effective_digits
-        exact_scale, pi_val = from_int(scale), pi_const(self._ctx)._mpf_
-        step_whole, step_frac = divmod(self._alpha, scale)
-        whole, frac = divmod(self._alpha * n, scale)
-        while True:
-            x = mpf_mul(pi_val, mpf_div(from_int(frac, prec, rnd), exact_scale, prec, rnd), prec, rnd)
-            yield whole, x, (pi * frac) // scale
-            whole, frac = whole + step_whole, frac + step_frac
-            if frac >= scale:
-                whole, frac = whole + 1, frac - scale
+    prec, rnd = ctx._mp._prec_rounding
+    scale = 10**ctx.effective_digits
+    exact_scale, pi_val = from_int(scale), pi_const(ctx)._mpf_
+    step_whole, step_frac = divmod(alpha_scaled, scale)
+    whole, frac = divmod(alpha_scaled * n, scale)
+    while True:
+        x = mpf_mul(pi_val, mpf_div(from_int(frac, prec, rnd), exact_scale, prec, rnd), prec, rnd)
+        yield whole, x, (pi * frac) // scale
+        whole, frac = whole + step_whole, frac + step_frac
+        if frac >= scale:
+            whole, frac = whole + 1, frac - scale
 
 
 class SineRun:
     """The sines of a run of consecutive indices 1..end as raw mpf values, bit
-    for bit the per-index path of its residues (FlintResidues or AlphaPiResidues).
+    for bit the per-index path of its residues (flint_residues or alpha_pi_residues).
 
-    A residue provider's run(n, L, pi) yields, for n, n + 1, ..., the parity,
-    the per-index argument x and the exact angle phi reduced (n, or
+    residues(n, L, pi) returns an iterator of, for n, n + 1, ..., the
+    parity, the per-index argument x and the exact angle phi reduced (n, or
     pi alpha_scaled n / 10**eff, less a multiple of pi), at 2**-L.  The
     per-index value is mpf_sin(x), negated for odd parity.  Calls on ascending
     consecutive n are fast; any other index opens a new run.
@@ -527,10 +514,11 @@ class SineRun:
         prec, rnd = self._prec, self._rnd = self._ctx._mp._prec_rounding
         bits = self._bits = prec + _ROTATION_GUARD
         wide = self._wide = bits + self._end.bit_length() + 4
-        pi_digits = max(wide * 30103 // 100000 + 2, self._residues.pi_digits)  # 10**pi_digits > 2**wide
-        pi = (pi_scaled(pi_digits) << wide) // 10**pi_digits  # under 2 units below pi 2**wide
+        # 10**digits > 2**wide, and no smaller than the largest scale flint reduces at up to end
+        digits = max(wide * 30103 // 100000 + 2, reduction_digits(self._end, self._ctx))
+        pi = (pi_scaled(digits) << wide) // 10**digits  # under 2 units below pi 2**wide
         self._pi, self._pi_bits = pi, pi >> (wide - bits)
-        odd, _, theta = next(self._residues.run(1, wide, pi))  # index 1's reduced angle is one step
+        odd, _, theta = next(self._residues(1, wide, pi))  # index 1's reduced angle is one step
         self._turn = self._angle(theta, odd)
         # per-index error in units of 2**-B: 2 rho for the anchor, 2 rho + 2 per
         # step, and 4 for delta's error, two floors and the strict inequality
@@ -558,7 +546,7 @@ class SineRun:
         if n != self._next:
             if self._next is None:
                 self._setup()
-            self._reductions = self._residues.run(n, self._wide, self._pi)
+            self._reductions = self._residues(n, self._wide, self._pi)
             self._steps = _ANCHOR_EVERY  # anchor at n
         odd, x, theta = next(self._reductions)
         if self._steps < _ANCHOR_EVERY:

@@ -16,6 +16,7 @@ per operation; only the result is wrapped as mpf.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -46,11 +47,11 @@ from .errors import (
     SingularArgumentError,
 )
 from .mpreal import (
-    AlphaPiResidues,
-    FlintResidues,
     RealContext,
     SineRun,
+    alpha_pi_residues,
     decimal_length,
+    flint_residues,
     pi_const,
     pi_scaled,
     sin_int,
@@ -198,7 +199,8 @@ def _alpha_pi_sine(alpha, ctx: RealContext, end: int):
     be resolved and raises.
     """
     mp = ctx._mp
-    run = SineRun(ctx, end, AlphaPiResidues(ctx, to_scaled(mp.mpf(alpha), ctx.effective_digits)))
+    scaled = to_scaled(mp.mpf(alpha), ctx.effective_digits)
+    run = SineRun(ctx, end, functools.partial(alpha_pi_residues, ctx, scaled))
     floor_limit = (mp.mpf(10) ** (5 - ctx.decimal_digits))._mpf_
 
     def sine(n):
@@ -239,29 +241,23 @@ def _pi_power_scaled(n: int, scale_digits: int) -> tuple[int, int]:
     return acc, s
 
 
-def _pi_power_chain(scale_digits: int):
-    """n -> _pi_power_scaled(n, scale_digits), carried over from n - 1 at one scale.
+def _pi_powers(scale_digits: int):
+    """Yield _pi_power_scaled(n, scale_digits) for n = 1, 2, ...
 
-    When n - 1 and n share the scale k, acc_n = acc_(n-1) * p // s is the very
-    step _pi_power_scaled takes after reaching acc_(n-1), so the carried value
-    is the same sequence of floors for one multiplication instead of n - 1.
-    A new scale, or an index that does not follow the last, starts afresh.
+    While n - 1 and n share the scale k, acc_n = acc_(n-1) * p // s is the
+    very step _pi_power_scaled takes after reaching acc_(n-1), so the carried
+    value is the same sequence of floors for one multiplication instead of
+    n - 1.  A new scale starts afresh.
     """
-    last = (0, 0, 0, 0, 0)  # n, k, p, acc, s
-
-    def power(n):
-        nonlocal last
-        red = _pi_power_digits(n, scale_digits)
-        m, last_red, p, acc, s = last
-        if n == m + 1 and red == last_red:
+    red = None
+    for n in itertools.count(1):
+        k = _pi_power_digits(n, scale_digits)
+        if k == red:
             acc = acc * p // s
         else:
             acc, s = _pi_power_scaled(n, scale_digits)
-            p = pi_scaled(red)
-        last = (n, red, p, acc, s)
-        return acc, s
-
-    return power
+            red, p = k, pi_scaled(k)
+        yield acc, s
 
 
 def _flat_sine(spec: SeriesSpec, ctx: RealContext):
@@ -270,17 +266,18 @@ def _flat_sine(spec: SeriesSpec, ctx: RealContext):
     Each pi^n (or pi b^n) is carried at enough digits that its fractional part
     is exact to working precision before the distance or fractional part is
     taken; that part is rounded to working precision and divided by the exact
-    scale.  A term whose argument collapses onto an integer raises.
+    scale.  A term whose argument collapses onto an integer raises.  pi^n
+    is carried from n - 1, so _run_sum calls it for n = 1, 2, ... in order.
     """
     power, nearest, base = spec.family == "flat_power", spec.variant == "nearest", spec.flat_base
     prec, rnd = ctx._mp._prec_rounding
     eff = ctx.effective_digits
     singular_tol = 10 ** (ctx.decimal_digits // 2)
-    pi_power = _pi_power_chain(eff)
+    pi_powers = _pi_powers(eff)
 
     def sine(n):
         if power:
-            scaled, s = pi_power(n)
+            scaled, s = next(pi_powers)
         else:
             mult = base**n
             red = eff + decimal_length(mult) + 4
@@ -305,7 +302,7 @@ def _terms(spec: SeriesSpec, ctx: RealContext, end: int):
         if x < 1:
             raise DomainError("x must be >= 1")
         _check_uv(spec.u, spec.v)
-        run = SineRun(ctx, end, FlintResidues(ctx, end))
+        run = SineRun(ctx, end, functools.partial(flint_residues, ctx))
         # every integer sine stays a call of sin_int, the layer bench/tracing.py counts as reduction
         return range(1, end + 1), lambda n: sin_int(n, ctx, run)._mpf_
     if spec.family == "lacunary":
@@ -366,6 +363,8 @@ def convergence_report(spec: SeriesSpec, ctx: RealContext, measure=None) -> Conv
     mp = ctx._mp
     if spec.family not in ("flint", "alpha_pi"):
         raise DomainError(f"convergence report supports flint and alpha_pi, not {spec.family!r}")
+    if measure is not None and mp.isnan(measure):
+        raise DomainError("irrationality measure must not be NaN")
     half = max(1, spec.limit // 2)  # past the limit when the limit is 0
     indices, sine = _terms(spec, ctx, max(spec.limit, half))
     if spec.family == "flint":

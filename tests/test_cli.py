@@ -89,6 +89,7 @@ class TestHostileInputs:
             (["series", "flint", "--limit", "3", "--digits", "0"], "precision too low"),
             (["audit", "--n-max", "3", "--digits", "0"], "precision too low"),
             (["measure", "--terms", "5", "--digits", "10"], "precision too low"),
+            (["series", "alpha-pi", "--limit", "50", "--report", "--measure", "nan"], "measure must not be NaN"),
         ],
     )
     def test_one_error_line(self, argv, message, capsys):

@@ -263,6 +263,20 @@ class TestIntegerTechnique:
         m = float(min(r.abs_sin for r in rows))
         assert 0 < m <= 1
 
+    def test_floor_just_above_an_integer(self):
+        # convergent 154 of 5 pi/4; x_n = 5 pi p/4 lies so close above an
+        # integer that pi's last unit at 30 digits hides the floor
+        from flinthills.kernels import _floor_shift_parameter
+
+        p = 209778178302716953202499675044541117505378617293751375857041861202198535439
+        ref = MPContext()
+        ref.dps = 300
+        floor_x = int(ref.floor(5 * ref.pi * p / 4))
+        with pytest.raises(fh.PrecisionInsufficientError):
+            _floor_shift_parameter(p, fh.make_context(30))
+        for digits in (60, 120):
+            assert _floor_shift_parameter(p, fh.make_context(digits)) == floor_x
+
 
 class TestCfTechnique:
     def test_below_threshold_rejected(self, ctx50):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import time
 
@@ -245,13 +246,11 @@ class TestFlatHills:
             assert units / s < ref.mpf(10) ** -eff
 
     def test_carried_chain_equals_the_chain_from_scratch(self, ctx50):
-        from flinthills.series import _pi_power_chain, _pi_power_scaled
+        from flinthills.series import _pi_power_scaled, _pi_powers
 
         eff = ctx50.effective_digits
-        power = _pi_power_chain(eff)
-        carried = [power(n) for n in range(1, 301)]
+        carried = list(itertools.islice(_pi_powers(eff), 300))
         assert carried == [_pi_power_scaled(n, eff) for n in range(1, 301)]
-        assert power(5) == _pi_power_scaled(5, eff)  # an index out of order starts afresh
 
     def test_scaled_fractional_parts(self, ctx50):
         r = fh.partial_sum(flat_spec("flat_scaled", "frac", 2, 1, 2), ctx50)
@@ -330,6 +329,17 @@ class TestConvergenceReport:
         spec = fh.SeriesSpec(family="alpha_pi", u=3, v=2, alpha=alpha, limit=30)
         with pytest.raises(fh.DomainError, match="measure"):
             fh.convergence_report(spec, ctx50)
+
+    def test_nan_measure_rejected(self, ctx50):
+        alpha = fh.constant_value("sqrt2", ctx50)
+        for spec in (fh.SeriesSpec(family="flint", u=3, v=2, limit=30),
+                     fh.SeriesSpec(family="alpha_pi", u=3, v=2, alpha=alpha, limit=30)):
+            with pytest.raises(fh.DomainError, match="NaN"):
+                fh.convergence_report(spec, ctx50, measure=math.nan)
+        # a Liouville alpha has measure inf: accepted, and predicted divergent
+        diag = fh.convergence_report(fh.SeriesSpec(family="alpha_pi", u=3, v=2, alpha=alpha, limit=30),
+                                     ctx50, measure=math.inf)
+        assert not diag.predicted_convergent
 
 
 class TestRecipSinTable:

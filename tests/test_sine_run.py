@@ -10,6 +10,7 @@ fallback rate and the version guard.
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
@@ -28,7 +29,7 @@ from mpmath.libmp.libelefun import COS_SIN_CACHE_PREC, cos_sin_basecase, mod_pi2
 
 import flinthills as fh
 from flinthills import mpreal, series
-from flinthills.mpreal import AlphaPiResidues, FlintResidues, SineRun, pi_const, sin_int, to_scaled
+from flinthills.mpreal import SineRun, alpha_pi_residues, flint_residues, pi_const, sin_int, to_scaled
 
 ALPHAS = (None, "sqrt2", "golden", "sqrt3", "cbrt2")
 
@@ -64,7 +65,7 @@ def outcome(run):
 
 def sine_run(ctx, scaled, end):
     """The run of flint sines (scaled None) or of alpha-pi sines for alpha_scaled = scaled."""
-    residues = FlintResidues(ctx, end) if scaled is None else AlphaPiResidues(ctx, scaled)
+    residues = partial(flint_residues, ctx) if scaled is None else partial(alpha_pi_residues, ctx, scaled)
     return SineRun(ctx, end, residues)
 
 
@@ -187,10 +188,13 @@ class TestPiOnce:
         monkeypatch.setattr(mpreal, "_reference_pi_digits", lambda: calls.append(1) or reference())
         return calls
 
-    def test_one_pi_per_sum(self, fresh_pi, ctx50):
-        """The run crosses five reduction scales; it asks for the largest pi first."""
-        fh.partial_sum(fh.SeriesSpec(family="flint", u=3, v=2, limit=20000), ctx50)
-        assert len(fresh_pi) == 1
+    @pytest.mark.parametrize("alpha", [None, mpmath.sqrt(2)], ids=["flint", "alpha_pi"])
+    def test_one_pi_per_sum(self, fresh_pi, ctx50, alpha):
+        """flint's run crosses five reduction scales, and alpha-pi's pi_const
+        derives from the run's pi; the run asks for the largest pi first."""
+        family = "flint" if alpha is None else "alpha_pi"
+        fh.partial_sum(fh.SeriesSpec(family=family, u=3, v=2, alpha=alpha, limit=20000), ctx50)
+        assert len(fresh_pi) == 1 and list(mpreal._pi_cache) == [117]
 
     def test_hostile_exponent_fails_before_set_up(self, fresh_pi, ctx50):
         for spec in (fh.SeriesSpec(family="flint", u=mpmath.inf, v=2, limit=3),
