@@ -11,14 +11,13 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from . import cache as cache_mod
 from . import contfrac, diophantine, kernels, series, stats
 from .errors import FlintHillsError
-from .mpreal import make_context
-from .output import DEFAULT_SIGNIFICANT_DIGITS, emit_rows
+from .mpreal import FIXTURES, make_context
+from .output import DEFAULT_SIGNIFICANT_DIGITS, FORMATS, emit_rows
 
 DEFAULT_DIGITS = 50
 
@@ -32,7 +31,7 @@ _FIXTURE_DEFAULTS = {
 def _add_common(p: argparse.ArgumentParser, digits_default=None):
     p.add_argument("--digits", type=int, default=digits_default,
                    help="working precision in decimal digits (default: sized to the request)")
-    p.add_argument("--format", choices=("plain", "csv", "json"), default="plain",
+    p.add_argument("--format", choices=FORMATS, default="plain",
                    help="output format (default plain)")
     p.add_argument("--full", action="store_true",
                    help="print all context digits instead of 6 significant digits")
@@ -91,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, digits_default=DEFAULT_DIGITS)
 
     p = sub.add_parser("series", help="partial sums of the Flint Hills family")
-    p.add_argument("family", choices=("flint", "lacunary", "alpha-pi", "flat-power", "flat-scaled"))
+    p.add_argument("family", choices=tuple(f.replace("_", "-") for f in series.FAMILIES))
     p.add_argument("--u", type=float, default=3.0)
     p.add_argument("--v", type=float, default=2.0)
     p.add_argument("--limit", type=int, required=True)
@@ -99,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="alpha for the alpha-pi family")
     p.add_argument("--measure", type=float, default=None,
                    help="irrationality measure of alpha (for --report)")
-    p.add_argument("--arg", choices=("nearest", "frac"), default="nearest",
+    p.add_argument("--arg", choices=series.FLAT_VARIANTS, default="nearest",
                    help="flat families: nearest-integer distance or fractional part")
     p.add_argument("--flat-base", type=int, default=10)
     p.add_argument("--points", default=None,
@@ -143,7 +142,7 @@ def _emit(out, args, rows: list[dict], digits: int) -> int:
 
 def _resolve_fixture(path, default_name: str) -> Path:
     if path is None:
-        return Path(str(resources.files("flinthills").joinpath(f"fixtures/{default_name}")))
+        return FIXTURES / default_name
     if not Path(path).is_file():
         raise FlintHillsError(f"fixture not found: {path}")
     return Path(path)
@@ -226,12 +225,7 @@ def _cmd_kernel(args, out):
     if args.x.lstrip("+-").isdigit():  # a plain integer token is a kernel order
         x = int(x)
     z = _exact_arg("--z", args.z)
-    if args.type == "dirichlet":
-        result = kernels.dirichlet_kernel(x, z, ctx)
-    else:
-        if not isinstance(x, int):
-            raise FlintHillsError("the Fejer kernel needs an integer --x")
-        result = kernels.fejer_kernel(x, z, ctx)
+    result = (kernels.dirichlet_kernel if args.type == "dirichlet" else kernels.fejer_kernel)(x, z, ctx)
     rows = [{"kernel": args.type} | row for row in _rows([result], x_param="x")]
     return _emit(out, args, rows, args.digits)
 
@@ -277,7 +271,7 @@ def _cmd_series(args, out):
             diagnostics = series.convergence_report(spec, ctx, measure=args.measure)
             rows = _rows([diagnostics], last_decade_relative_change="relative_change")
             return _emit(out, args, rows, args.digits)
-        if family == "lacunary" and args.limit == 0:  # the library warns and returns the empty sum
+        if family == "lacunary" and args.limit < 1:  # the library takes 0: a warning and the empty sum
             raise FlintHillsError("x must be >= 1")
     result = series.partial_sum(spec, ctx, checkpoints)
     if checkpoints:
@@ -336,12 +330,9 @@ def _cmd_verify(args, out):
     fixture = _resolve_fixture(args.fixture, default_name)
     # integral Decimals: a mismatch row may hold a convergent past 4300 digits
     pairs = contfrac.decimal_convergents(contfrac.expand_constant("pi", args.terms), args.terms)
-    if args.sequence == "numerators":
-        seq = [p for p, _ in pairs]
-    elif args.sequence == "denominators":
-        seq = [q for _, q in pairs]
-    else:
-        seq = [1] + [p for p, _ in pairs]
+    seq = [q if args.sequence == "denominators" else p for p, q in pairs]
+    if args.sequence == "lacunary":  # the record indices of A046947 start at n = 1
+        seq.insert(0, 1)
     report = contfrac.verify_fixture(seq, fixture, index_offset=offset)
     rows = [
         {

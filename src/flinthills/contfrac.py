@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -29,7 +29,16 @@ DIGITS_MARGIN = 50
 # denominators wider than this many bits are expanded in batches
 _BATCH_BITS = 2000
 
-KNOWN_CONSTANTS = ("pi", "sqrt2", "sqrt3", "sqrt5", "golden", "cbrt2")
+# name -> its value at a context's precision
+_CONSTANTS = {
+    "pi": pi_const,
+    "sqrt2": lambda ctx: ctx._mp.sqrt(2),
+    "sqrt3": lambda ctx: ctx._mp.sqrt(3),
+    "sqrt5": lambda ctx: ctx._mp.sqrt(5),
+    "golden": lambda ctx: (1 + ctx._mp.sqrt(5)) / 2,
+    "cbrt2": lambda ctx: ctx._mp.cbrt(2),
+}
+KNOWN_CONSTANTS = tuple(_CONSTANTS)
 
 
 @dataclass(frozen=True)
@@ -85,20 +94,9 @@ def digits_for_terms(terms: int) -> int:
 
 def constant_value(constant_id: str, ctx: RealContext):
     """Value of a named constant at context precision."""
-    mp = ctx._mp
-    if constant_id == "pi":
-        return pi_const(ctx)
-    if constant_id == "sqrt2":
-        return mp.sqrt(2)
-    if constant_id == "sqrt3":
-        return mp.sqrt(3)
-    if constant_id == "sqrt5":
-        return mp.sqrt(5)
-    if constant_id == "golden":
-        return (1 + mp.sqrt(5)) / 2
-    if constant_id == "cbrt2":
-        return mp.cbrt(2)
-    raise DomainError(f"unknown constant {constant_id!r}; known: {', '.join(KNOWN_CONSTANTS)}")
+    if constant_id not in _CONSTANTS:
+        raise DomainError(f"unknown constant {constant_id!r}; known: {', '.join(KNOWN_CONSTANTS)}")
+    return _CONSTANTS[constant_id](ctx)
 
 
 def expand(x, max_terms: int, ctx: RealContext, constant_id: str = "x") -> PartialQuotients:
@@ -174,7 +172,7 @@ def _expand_interval(lo_n: int, lo_d: int, hi_n: int, hi_d: int, max_terms: int,
     return False
 
 
-def _fold(terms: list[int], i: int, j: int) -> tuple[int, int, int, int]:
+def _fold(terms: Sequence[int], i: int, j: int) -> tuple[int, int, int, int]:
     """(p, p1, q, q1) with [[p, p1], [q, q1]] the product of [[a, 1], [1, 0]] over terms[i:j].
 
     Short runs use the convergent recurrence; longer ones split in halves so
@@ -283,10 +281,8 @@ def reconstruct(pq: PartialQuotients) -> Fraction:
     """Fold the quotients back into the finite fraction they define."""
     if not pq.terms:
         raise DomainError("no terms to reconstruct")
-    acc = Fraction(pq.terms[-1])
-    for a in reversed(pq.terms[:-1]):
-        acc = a + 1 / acc
-    return acc
+    p, _, q, _ = _fold(pq.terms, 0, len(pq.terms))
+    return Fraction(p, q)
 
 
 # ---------------------------------------------------------------------------

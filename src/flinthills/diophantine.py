@@ -9,12 +9,11 @@ shifted bound 1/(2 q_n) <= |p_{n+1} - alpha q_{n+1} - 1/q_n| <= 2/q_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .contfrac import constant_convergents, constant_value, convergents, digits_for_terms, expand
 from .errors import DomainError, UndefinedMeasureError
-from .mpreal import RealContext, make_context
+from .mpreal import FIXTURES, RealContext, make_context
 
 
 @dataclass(frozen=True)
@@ -182,14 +181,7 @@ class TableAnnotation:
 def load_table_annotations(path=None) -> tuple[TableAnnotation, ...]:
     """Annotations marking published table cells that the exact recurrence
     (and the OEIS fixtures) show to be misprints."""
-    if path is None:
-        text = (
-            resources.files("flinthills")
-            .joinpath("fixtures/table_annotations.txt")
-            .read_text(encoding="ascii")
-        )
-    else:
-        text = Path(path).read_text(encoding="ascii")
+    text = Path(FIXTURES / "table_annotations.txt" if path is None else path).read_text(encoding="ascii")
     out = []
     for raw in text.splitlines():
         line = raw.strip()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from importlib import resources
+from pathlib import Path
 
 import mpmath
 from mpmath.ctx_mp import MPContext
@@ -42,6 +42,9 @@ from .errors import CrossCheckError, DomainError, PrecisionError
 
 MIN_DECIMAL_DIGITS = 30
 DEFAULT_GUARD_DIGITS = 40
+
+# the bundled reference files, read by path beside this module
+FIXTURES = Path(__file__).with_name("fixtures")
 
 # a pi series first runs _PI_SERIES_GUARD digits past the scale asked for, and
 # its value there is within _PI_SERIES_ERROR units: two for each of Machin's
@@ -100,12 +103,7 @@ _pi_lock = threading.Lock()
 @functools.cache
 def _reference_pi_digits() -> str:
     """First 1000 significant digits of pi from the bundled fixture."""
-    text = (
-        resources.files("flinthills")
-        .joinpath("fixtures/pi_1000.txt")
-        .read_text(encoding="ascii")
-    )
-    return "".join(text.split())
+    return "".join((FIXTURES / "pi_1000.txt").read_text(encoding="ascii").split())
 
 
 def _arctan_split(a: int, b: int, c: int) -> tuple[int, int, int]:

@@ -9,11 +9,13 @@ Rows are written to the output one at a time.  Integers (ints and integral
 Decimals) are rendered only as their row is written; plain measures their
 column widths by digit count, so a table of huge integers is never held as
 text.  Integral Decimals print in time linear in their length and without
-Python's 4300-digit limit on int -> str.
+Python's 4300-digit limit on int -> str; other cells that meet it print with it lifted.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from decimal import Decimal
 
 import mpmath
@@ -25,6 +27,26 @@ FORMATS = ("plain", "csv", "json")
 DEFAULT_SIGNIFICANT_DIGITS = 6
 _INTEGERS = (int, Decimal)  # exact types: a bool renders as true/false
 _CSV_SPECIAL = (",", '"', "\r", "\n")  # a cell holding one may need csv.writer's quoting
+_LIMIT_LOCK = threading.Lock()
+
+
+def _unlimited(convert, *args) -> str:
+    """convert(*args), retried with Python's int -> str digit limit lifted where it raises.
+
+    str of an int past 4300 digits raises, and so does mpmath 1.3's nstr of a
+    real with a mantissa past ~14,300 bits and an exponent past 3500 bits.
+    Only the retry lifts the limit, under a lock; int parsing stays guarded outside it.
+    """
+    try:
+        return convert(*args)
+    except ValueError:
+        with _LIMIT_LOCK:
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                return convert(*args)
+            finally:
+                sys.set_int_max_str_digits(limit)
 
 
 def _render(value, significant: int, json_mode: bool) -> str:
@@ -39,14 +61,14 @@ def _render(value, significant: int, json_mode: bool) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, _INTEGERS):
-        return str(value)
+        return _unlimited(str, value)
     if isinstance(value, str):
         if not json_mode:
             return value
         import json
 
         return json.dumps(value)
-    return mpmath.nstr(value, significant)
+    return _unlimited(mpmath.nstr, value, significant)
 
 
 def _integer_width(n) -> int:
@@ -118,4 +140,4 @@ def emit_rows(rows: list[dict], kind: str, significant: int, out) -> None:
     widths = [_column_width(k, column) for k, column in zip(keys, zip(*cells))]
     out.write("  ".join(k.ljust(widths[i]) for i, k in enumerate(keys)).rstrip() + "\n")
     for r in cells:
-        out.write("  ".join([str(c).ljust(w) for c, w in zip(r, widths)]).rstrip() + "\n")
+        out.write("  ".join([_render(c, significant, False).ljust(w) for c, w in zip(r, widths)]).rstrip() + "\n")

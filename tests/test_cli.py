@@ -79,6 +79,8 @@ class TestHostileInputs:
             (["kernel", "--type", "dirichlet", "--x", "1e999999", "--z", "1"], "--x is too long or its exponent"),
             (["kernel", "--type", "dirichlet", "--x", "1" * 5000, "--z", "1"], "--x is too long"),
             (["series", "lacunary", "--limit", "0"], "x must be >= 1"),
+            (["series", "lacunary", "--limit", "-5"], "x must be >= 1"),
+            (["kernel", "--type", "fejer", "--x", "1.5", "--z", "1"], "Fejer kernel requires an integer order x >= 0"),
             (["series", "flint", "--limit", "5", "--points", "abc"],
              "--points must be comma-separated integers, got 'abc'"),
             (["series", "flint", "--limit", "5", "--points", "1e3"],
@@ -348,6 +350,12 @@ class TestKernelAndShiftCommands:
         row = next(csv.DictReader(io.StringIO(out)))
         assert (row["closed_form"], row["sum_form"]) == (closed, summed)
 
+    def test_value_past_the_int_str_limit(self):
+        # z at 4400 digits carries a mantissa that mpmath's nstr prints through an int past 4300 digits
+        code, out = run_cli(["kernel", "--type", "dirichlet", "--x", "3", "--z", "1e-1100", "--digits", "4400",
+                             "--format", "csv"])
+        assert (code, out.splitlines()[1]) == (0, "dirichlet,3,1.0e-1100,7.0,7.0,7.0")
+
     def test_huge_integer_order_is_bounded(self):
         # above the sum-form cap only the closed form runs
         x = 10**21
@@ -512,16 +520,23 @@ class TestExpandAndCache:
         assert cache.read_entry("pi") == before
         assert [p.name for p in tmp_path.iterdir()] == ["pi.cfcache"]
 
-    def test_checksum_failure_detected(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("old, new, reason", [
+        (" 292", " 293", "checksum mismatch"),
+        ("terms: 10", "terms: ten", "malformed header or payload"),
+        (" 292", " 29x", "malformed header or payload"),
+        ("constant: pi", "constant: sqrt2", "constant mismatch"),
+        ("terms: 10", "terms: 11", "term count 10 != declared 11"),
+    ], ids=["checksum", "header", "payload", "constant", "term-count"])
+    def test_checksum_failure_detected(self, old, new, reason, tmp_path, monkeypatch, capsys):
         # a corrupt entry is a miss: one warning line, then the uncached answer
         monkeypatch.setenv("FLINTHILLS_CACHE_DIR", str(tmp_path))
         uncached = run_cli(["convergents", "--terms", "5"])
         run_cli(["expand", "--terms", "10", "--cache-write"])
         path = tmp_path / "pi.cfcache"
-        path.write_text(path.read_text().replace(" 292", " 293"))
+        path.write_text(path.read_text().replace(old, new))
         capsys.readouterr()
         assert run_cli(["convergents", "--terms", "5", "--cache-read"]) == uncached
-        assert capsys.readouterr().err == f"warning: ignoring cache entry {path}: checksum mismatch\n"
+        assert capsys.readouterr().err == f"warning: ignoring cache entry {path}: {reason}\n"
 
     def test_non_ascii_entry_is_a_miss(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FLINTHILLS_CACHE_DIR", str(tmp_path))
@@ -618,3 +633,19 @@ class TestColdImports:
         proc = subprocess.run([sys.executable, "-c", code], env=cold_env(), capture_output=True, text=True,
                               timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "[] True\n")
+
+    def test_bundled_fixture_without_importlib_resources(self):
+        """The fixtures are read by path: under -S, with site-packages on PYTHONPATH, no resource loader loads."""
+        import sysconfig
+
+        code = (
+            "import sys\n"
+            "from flinthills.cli import run\n"
+            "assert run(['verify', '--sequence', 'numerators']) == 0\n"
+            "print([m for m in ('importlib.resources', 'tempfile', 'zipfile') if m in sys.modules], file=sys.stderr)\n"
+        )
+        env = cold_env()
+        env["PYTHONPATH"] = os.pathsep.join([env["PYTHONPATH"], sysconfig.get_paths()["purelib"]])
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "[]\n")

@@ -2,14 +2,20 @@
 
 import csv
 import io
+import sys
+import threading
+import time
 from decimal import Decimal
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 
-from flinthills.output import _integer_width, _render, emit_rows
+from flinthills.output import _integer_width, _render, _unlimited, emit_rows
+
+from conftest import unlimited_int_str
 
 
 def _plain_reference(rows, significant):
@@ -94,3 +100,47 @@ class TestCsvRows:
         buf = io.StringIO()
         emit_rows(rows, "csv", 6, buf)
         assert buf.getvalue() == self._reference(rows, 6)
+
+
+def _huge_mantissa():
+    """10^-1100 at 15000 bits: mpmath's nstr rescales it by its mantissa's exponent, to an int past 4300 digits."""
+    mp = MPContext()
+    mp.prec = 15000
+    return mp.mpf(1) / 10**1100
+
+
+class TestPastTheIntStrLimit:
+    @pytest.mark.parametrize("kind", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("value, convert", [(10**5000 + 1, str), (_huge_mantissa(), lambda v: mpmath.nstr(v, 6))],
+                             ids=["int", "mpf"])
+    def test_prints_what_the_unlimited_conversion_prints(self, value, convert, kind):
+        with pytest.raises(ValueError):
+            convert(value)
+        with unlimited_int_str():
+            text = convert(value)
+        out = io.StringIO()
+        emit_rows([{"p": value}], kind, 6, out)
+        assert out.getvalue() == ('{"p": %s}\n' % text if kind == "json" else f"p\n{text}\n")
+
+    def test_overlapping_retries_restore_the_limit(self):
+        # the second retry starts while the first has the limit lifted; it must not save and restore that lifted value
+        limit, lifted, failed, limits = sys.get_int_max_str_digits(), threading.Event(), set(), []
+
+        def convert(name):
+            if name not in failed:
+                failed.add(name)
+                raise ValueError("past the limit")
+            lifted.set()
+            time.sleep(0.2)
+            return sys.get_int_max_str_digits()
+
+        threads = [threading.Thread(target=lambda n=name: limits.append(_unlimited(convert, n)))
+                   for name in ("first", "second")]
+        threads[0].start()
+        assert lifted.wait(timeout=10)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert limits == [0, 0]
+        assert sys.get_int_max_str_digits() == limit

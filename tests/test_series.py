@@ -287,6 +287,15 @@ class TestFlatHills:
         with pytest.raises(fh.DomainError, match="finite"):
             fh.partial_sum(flat_spec(family, "nearest", math.inf, 1, 10**6), ctx50)
 
+    @pytest.mark.parametrize("family", ["flat_power", "flat_scaled"])
+    def test_integer_argument_is_singular(self, family, ctx50, monkeypatch):
+        # pi as exactly 3 puts every pi^n and pi b^n on an integer
+        import flinthills.series as series
+
+        monkeypatch.setattr(series, "pi_scaled", lambda k: 3 * 10**k)
+        with pytest.raises(fh.SingularArgumentError, match="n=1 is within tolerance of an integer"):
+            fh.partial_sum(flat_spec(family, "nearest", 2, 1, 3), ctx50)
+
     def test_validation(self, ctx50):
         with pytest.raises(fh.DomainError):
             fh.partial_sum(flat_spec("flat_power", "sideways", 2, 1, 3), ctx50)
