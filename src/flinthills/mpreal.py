@@ -12,15 +12,17 @@ arithmetic, with pi carried to twice the numerator's digit length in extra
 digits: near a numerator of a convergent of pi the residue m - q*pi can be as
 small as ~1/q, and the result must stay relatively accurate there.
 
-A run of sines at consecutive indices (SineRun) returns the same bits as the
-per-index path: the residues step exactly (the generators flint_residues and
-alpha_pi_residues), a rotation recurrence supplies each value, and it is used
-only when Ziv's rounding test shows that it rounds to what mpmath's sine returns.
+A run of sines at consecutive indices (the generator sine_run) yields each index
+with the same bits as its per-index path: the residues step exactly (the
+generators flint_residues and alpha_pi_residues), a rotation recurrence supplies
+each value, and it is used only when Ziv's rounding test shows that it rounds
+to what mpmath's sine returns.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from pathlib import Path
@@ -313,11 +315,12 @@ def _reduce_mod_pi(num: int, den: int, m, red: int, ctx: RealContext):
 def sin_int(m, ctx: RealContext, run=None):
     """sin(m) for an exact int or Fraction m of any magnitude, reduced exactly modulo pi.
 
-    With run, a SineRun of flint_residues for ctx, an int m in 1..end is taken
-    from it: the same bits, and fast along consecutive m.
+    With run, a sine_run of flint_residues for ctx, m is its next index and
+    the value is taken from it: the same bits, and fast along consecutive m.
+    Any other m raises CrossCheckError.
     """
     if run is not None:
-        return ctx._mp.make_mpf(run(m))
+        return ctx._mp.make_mpf(_next_sine(run, m))
     return ctx._mp.make_mpf(_reduce_mod_pi(0, 1, m, reduction_digits(m, ctx), ctx)[0])
 
 
@@ -470,20 +473,21 @@ def alpha_pi_residues(ctx: RealContext, alpha_scaled: int, n: int, wide: int, pi
             whole, frac = whole + 1, frac - scale
 
 
-class SineRun:
-    """The sines of a run of consecutive indices 1..end as raw mpf values, bit
-    for bit the per-index path of its residues (flint_residues or alpha_pi_residues).
+def sine_run(ctx: RealContext, end: int, residues, n: int = 1):
+    """Yield (n, sine) for n, n + 1, ..., end, each sine a raw mpf bit for bit
+    the per-index path of its residues (flint_residues or alpha_pi_residues).
 
     residues(n, L, pi) returns an iterator of, for n, n + 1, ..., the
     parity, the per-index argument x and the exact angle phi reduced (n, or
     pi alpha_scaled n / 10**eff, less a multiple of pi), at 2**-L.  The
-    per-index value is mpf_sin(x), negated for odd parity.  Calls on ascending
-    consecutive n are fast; any other index opens a new run.
+    per-index value is mpf_sin(x), negated for odd parity.  Set-up runs at
+    the first next(), and asks for pi at the largest scale first, so pi is
+    computed once.
 
     sin(x) = sin(phi + delta) with delta = x - phi, and the value is rounded
     from A = sin phi + delta cos phi at B = prec + 64 bits:
-    - (cos phi, sin phi) advance by a fixed-point rotation, re-anchored every
-      _ANCHOR_EVERY steps from the exact reduced angle by
+    - (cos phi, sin phi) advance by a fixed-point rotation, anchored at n and
+      then after every _ANCHOR_EVERY steps from the exact reduced angle by
       ``cos_sin_basecase``.  Anchor and step values are each within
       rho = _cos_sin_error(B) + 3 units (the angle, formed with pi at
       L = B + bits(end) + 4 bits, is within 3 units).  A rotation with
@@ -498,75 +502,58 @@ class SineRun:
     (_mpmath_sin_error) holds no rounding boundary at prec bits (Ziv's test):
     then mpf_sin(x), which rounds a value inside it, returns the same bits.
     Otherwise the term takes the per-index mpf_sin(x), and so does every term
-    on mpmath other than 1.3.x, with |x| < 2**-8, with |x| >= 4 or past end.
-    ``fallbacks`` counts those terms.
+    on mpmath other than 1.3.x, with |x| < 2**-8 or with |x| >= 4.
     """
+    prec, rnd = ctx._mp._prec_rounding
+    bits = prec + _ROTATION_GUARD
+    wide = bits + end.bit_length() + 4
+    # 10**digits > 2**wide, and no smaller than the largest scale flint reduces at up to end
+    digits = max(wide * 30103 // 100000 + 2, reduction_digits(end, ctx))
+    pi = (pi_scaled(digits) << wide) // 10**digits  # under 2 units below pi 2**wide
+    pi_bits = pi >> (wide - bits)
 
-    def __init__(self, ctx: RealContext, end: int, residues):
-        self._ctx, self._end, self._residues = ctx, end, residues
-        self.fallbacks = 0
-        self._next = None  # the index after the last one served; None before set-up
-
-    def _setup(self) -> None:
-        """Constants of the run; pi is asked for at the largest scale first, so it is computed once."""
-        prec, rnd = self._prec, self._rnd = self._ctx._mp._prec_rounding
-        bits = self._bits = prec + _ROTATION_GUARD
-        wide = self._wide = bits + self._end.bit_length() + 4
-        # 10**digits > 2**wide, and no smaller than the largest scale flint reduces at up to end
-        digits = max(wide * 30103 // 100000 + 2, reduction_digits(self._end, self._ctx))
-        pi = (pi_scaled(digits) << wide) // 10**digits  # under 2 units below pi 2**wide
-        self._pi, self._pi_bits = pi, pi >> (wide - bits)
-        odd, _, theta = next(self._residues(1, wide, pi))  # index 1's reduced angle is one step
-        self._turn = self._angle(theta, odd)
-        # per-index error in units of 2**-B: 2 rho for the anchor, 2 rho + 2 per
-        # step, and 4 for delta's error, two floors and the strict inequality
-        rho = _cos_sin_error(bits) + 3
-        self._base_err, self._step_err = 2 * rho + 4, 2 * rho + 2
-        self._mpmath_err = {}
-        if _mpmath_analysed(mpmath.__version__):
-            for mag in _MAGNITUDES:
-                bound, wp = _mpmath_sin_error(mag, prec)
-                self._mpmath_err[mag] = bound << (bits - wp)
-
-    def _angle(self, theta: int, odd: int) -> tuple[int, int]:
+    def angle(theta, odd):
         """(cos, sin) at 2**-B of theta/2**L + odd*pi, for |theta| < pi 2**L."""
-        t = theta >> (self._wide - self._bits)
-        if 2 * abs(t) > self._pi_bits:
-            c, s = cos_sin_basecase(self._pi_bits - abs(t), self._bits)
-            c = -c
-        else:
-            c, s = cos_sin_basecase(abs(t), self._bits)
-        if t < 0:
-            s = -s
+        t = theta >> (wide - bits)
+        c, s = cos_sin_basecase(min(abs(t), pi_bits - abs(t)), bits)
+        c, s = (-c if 2 * abs(t) > pi_bits else c), (-s if t < 0 else s)
         return (-c, -s) if odd & 1 else (c, s)
 
-    def __call__(self, n: int):
-        if n != self._next:
-            if self._next is None:
-                self._setup()
-            self._reductions = self._residues(n, self._wide, self._pi)
-            self._steps = _ANCHOR_EVERY  # anchor at n
-        odd, x, theta = next(self._reductions)
-        if self._steps < _ANCHOR_EVERY:
-            c, s = self._cos, self._sin
-            tc, ts = self._turn
-            self._cos, self._sin = (c * tc - s * ts) >> self._bits, (s * tc + c * ts) >> self._bits
-            self._steps += 1
+    odd, _, theta = next(residues(1, wide, pi))  # index 1's reduced angle is one step
+    tc, ts = angle(theta, odd)
+    # per-index error in units of 2**-B: 2 rho for the anchor, 2 rho + 2 per
+    # step, and 4 for delta's error, two floors and the strict inequality
+    rho = _cos_sin_error(bits) + 3
+    base_err, step_err = 2 * rho + 4, 2 * rho + 2
+    mpmath_err = {}
+    if _mpmath_analysed(mpmath.__version__):
+        for mag in _MAGNITUDES:
+            bound, wp = _mpmath_sin_error(mag, prec)
+            mpmath_err[mag] = bound << (bits - wp)
+    # the index range comes first, so the residues are not stepped past end
+    steps = itertools.cycle(range(_ANCHOR_EVERY + 1))
+    for n, step, (odd, x, theta) in zip(range(n, end + 1), steps, residues(n, wide, pi)):
+        if step:
+            c, s = (c * tc - s * ts) >> bits, (s * tc + c * ts) >> bits
         else:
-            self._cos, self._sin = self._angle(theta, odd)
-            self._steps = 0
-        self._next = n + 1
+            c, s = angle(theta, odd)
         sign, man, exp, bc = x
-        bound = self._mpmath_err.get(exp + bc)
-        if man and bound is not None and n <= self._end:
-            wide, bits = self._wide, self._bits
-            delta = (-man if sign else man) << (exp + wide)
-            delta -= theta
-            a = self._sin + ((delta * self._cos) >> wide)
-            err = bound + self._base_err + self._steps * self._step_err + ((delta * delta) >> (2 * wide - bits))
-            value = _round_certified(a, err, bits, self._prec)
+        bound = mpmath_err.get(exp + bc)
+        if man and bound is not None:
+            delta = ((-man if sign else man) << (exp + wide)) - theta
+            a = s + ((delta * c) >> wide)
+            err = bound + base_err + step * step_err + ((delta * delta) >> (2 * wide - bits))
+            value = _round_certified(a, err, bits, prec)
             if value is not None:
-                return value
-        self.fallbacks += 1
-        value = mpf_sin(x, self._prec, self._rnd)
-        return mpf_neg(value, self._prec, self._rnd) if odd & 1 else value
+                yield n, value
+                continue
+        value = mpf_sin(x, prec, rnd)
+        yield n, (mpf_neg(value, prec, rnd) if odd & 1 else value)
+
+
+def _next_sine(run, m: int):
+    """The next sine of a sine_run, which must be the sine of index m; else CrossCheckError."""
+    n, value = next(run, (None, None))
+    if n != m:
+        raise CrossCheckError(f"the sine run does not give sin({m}) next")
+    return value

@@ -48,13 +48,14 @@ from .errors import (
 )
 from .mpreal import (
     RealContext,
-    SineRun,
+    _next_sine,
     alpha_pi_residues,
     decimal_length,
     flint_residues,
     pi_const,
     pi_scaled,
     sin_int,
+    sine_run,
     to_scaled,
 )
 
@@ -191,20 +192,21 @@ def _record_indices(x: int) -> list[int]:
 
 
 def _alpha_pi_sine(alpha, ctx: RealContext, end: int):
-    """n -> sin(alpha pi n) as a raw mpf, for n in 1..end.
+    """n -> sin(alpha pi n) as a raw mpf, for n = 1, 2, ..., end in order.
 
     alpha n is split into integer and fractional parts in exact scaled
     arithmetic before the sine is taken, so pi never multiplies a large n at
-    working precision (SineRun).  A sine below 10^(5-decimal_digits) cannot
-    be resolved and raises.
+    working precision; the sines come from a sine_run of alpha_pi_residues,
+    and an n out of order raises CrossCheckError.  A sine below
+    10^(5-decimal_digits) cannot be resolved and raises.
     """
     mp = ctx._mp
     scaled = to_scaled(mp.mpf(alpha), ctx.effective_digits)
-    run = SineRun(ctx, end, functools.partial(alpha_pi_residues, ctx, scaled))
+    run = sine_run(ctx, end, functools.partial(alpha_pi_residues, ctx, scaled))
     floor_limit = (mp.mpf(10) ** (5 - ctx.decimal_digits))._mpf_
 
     def sine(n):
-        s = run(n)
+        s = _next_sine(run, n)
         if mpf_lt(mpf_abs(s), floor_limit):
             raise PrecisionInsufficientError(
                 f"sin(alpha pi n) below resolution at n={n}; raise precision"
@@ -214,14 +216,9 @@ def _alpha_pi_sine(alpha, ctx: RealContext, end: int):
     return sine
 
 
-def _pi_power_digits(n: int, scale_digits: int) -> int:
-    """The scale k of _pi_power_scaled(n, scale_digits)."""
-    return scale_digits + (n * 49715) // 100000 + 8
-
-
-def _pi_power_scaled(n: int, scale_digits: int) -> tuple[int, int]:
-    """(acc, 10^k) with |acc/10^k - pi^n| < 10^-scale_digits, so the
-    fractional part of pi^n survives to scale_digits digits.
+def _pi_powers(scale_digits: int):
+    """Yield (acc, 10^k) for n = 1, 2, ... with |acc/10^k - pi^n| < 10^-scale_digits,
+    so the fractional part of pi^n survives to scale_digits digits.
 
     acc is the chain p, p*p//s, ... of n - 1 floor divisions from
     p = pi_scaled(k), which lies below pi * 10^k by less than one unit.  Each step
@@ -230,33 +227,16 @@ def _pi_power_scaled(n: int, scale_digits: int) -> tuple[int, int]:
     (2n + 1) pi^(n-1) units.  k is scale_digits plus floor(n * 0.49715) digits,
     and n * 0.49715 >= n * log10(pi), so those digits absorb all but one
     digit of the pi^(n-1) growth; 8 more absorb that digit and the 2n + 1 for
-    any n below 10^7.
-    """
-    red = _pi_power_digits(n, scale_digits)
-    s = 10**red
-    p = pi_scaled(red)
-    acc = p
-    for _ in range(n - 1):
-        acc = acc * p // s
-    return acc, s
-
-
-def _pi_powers(scale_digits: int):
-    """Yield _pi_power_scaled(n, scale_digits) for n = 1, 2, ...
-
-    While n - 1 and n share the scale k, acc_n = acc_(n-1) * p // s is the
-    very step _pi_power_scaled takes after reaching acc_(n-1), so the carried
-    value is the same sequence of floors for one multiplication instead of
-    n - 1.  A new scale starts afresh.
+    any n below 10^7.  While n - 1 and n share k, acc_n is acc_(n-1) * p // s,
+    one multiplication; a new k restarts the chain from s * p // s = p.
     """
     red = None
     for n in itertools.count(1):
-        k = _pi_power_digits(n, scale_digits)
-        if k == red:
+        k, steps = scale_digits + (n * 49715) // 100000 + 8, 1
+        if k != red:
+            red, s, p, acc, steps = k, 10**k, pi_scaled(k), 10**k, n
+        for _ in range(steps):
             acc = acc * p // s
-        else:
-            acc, s = _pi_power_scaled(n, scale_digits)
-            red, p = k, pi_scaled(k)
         yield acc, s
 
 
@@ -302,7 +282,7 @@ def _terms(spec: SeriesSpec, ctx: RealContext, end: int):
         if x < 1:
             raise DomainError("x must be >= 1")
         _check_uv(spec.u, spec.v)
-        run = SineRun(ctx, end, functools.partial(flint_residues, ctx))
+        run = sine_run(ctx, end, functools.partial(flint_residues, ctx))
         # every integer sine stays a call of sin_int, the layer bench/tracing.py counts as reduction
         return range(1, end + 1), lambda n: sin_int(n, ctx, run)._mpf_
     if spec.family == "lacunary":

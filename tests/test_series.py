@@ -234,23 +234,23 @@ class TestFlatHills:
     def test_pi_power_chain_error_bound(self, digits):
         # the chain is within (2n + 1) pi^(n-1) units of pi^n 10^k, which is
         # below 10^-eff once divided by 10^k
-        from flinthills.series import _pi_power_scaled
+        from flinthills.series import _pi_powers
 
         eff = fh.make_context(digits).effective_digits
         ref = mpmath.MPContext()
-        for n in range(1, 401):
-            acc, s = _pi_power_scaled(n, eff)
+        for n, (acc, s) in zip(range(1, 401), _pi_powers(eff)):
             ref.dps = 2 * len(str(s))
             units = abs(acc - ref.pi**n * s)
             assert units < (2 * n + 1) * ref.pi ** (n - 1)
             assert units / s < ref.mpf(10) ** -eff
 
     def test_carried_chain_equals_the_chain_from_scratch(self, ctx50):
-        from flinthills.series import _pi_power_scaled, _pi_powers
+        from flinthills.series import _pi_powers
+        from test_summation_bits import reference_pi_power_scaled
 
         eff = ctx50.effective_digits
         carried = list(itertools.islice(_pi_powers(eff), 300))
-        assert carried == [_pi_power_scaled(n, eff) for n in range(1, 301)]
+        assert carried == [reference_pi_power_scaled(n, eff) for n in range(1, 301)]
 
     def test_scaled_fractional_parts(self, ctx50):
         r = fh.partial_sum(flat_spec("flat_scaled", "frac", 2, 1, 2), ctx50)
