@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import cache as cache_mod
@@ -198,20 +197,6 @@ def _cmd_audit(args, out):
     return 0
 
 
-MAX_ARG_DIGITS = 4300  # Fraction builds 10**exponent first; Python parses ints up to 4300 digits
-
-
-def _exact_arg(flag: str, text: str) -> Fraction:
-    """A kernel argument as an exact decimal (or a/b) rational of bounded size."""
-    _, e, exponent = text.lower().partition("e")
-    try:
-        if len(text) > MAX_ARG_DIGITS or (e and abs(int(exponent)) > MAX_ARG_DIGITS):
-            raise FlintHillsError(f"{flag} is too long or its exponent too large, got {text!r}")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise FlintHillsError(f"{flag} must be a number, got {text!r}") from None
-
-
 def _cmd_kernel(args, out):
     ctx = make_context(args.digits)
     if args.type == "cf":
@@ -221,10 +206,10 @@ def _cmd_kernel(args, out):
         return _emit(out, args, _rows(table, index="m"), args.digits)
     if args.x is None or args.z is None:
         raise FlintHillsError("--x and --z are required for kernel evaluation")
-    x = _exact_arg("--x", args.x)
+    x = kernels.exact_decimal(args.x, "--x")
     if args.x.lstrip("+-").isdigit():  # a plain integer token is a kernel order
         x = int(x)
-    z = _exact_arg("--z", args.z)
+    z = kernels.exact_decimal(args.z, "--z")
     result = (kernels.dirichlet_kernel if args.type == "dirichlet" else kernels.fejer_kernel)(x, z, ctx)
     rows = [{"kernel": args.type} | row for row in _rows([result], x_param="x")]
     return _emit(out, args, rows, args.digits)
@@ -266,13 +251,10 @@ def _cmd_series(args, out):
     alpha = contfrac.constant_value(args.alpha, ctx) if family == "alpha_pi" else None
     spec = series.SeriesSpec(family=family, u=args.u, v=args.v, alpha=alpha, flat_base=args.flat_base,
                              variant=args.arg, limit=checkpoints[-1] if checkpoints else args.limit)
-    if not checkpoints:
-        if args.report:
-            diagnostics = series.convergence_report(spec, ctx, measure=args.measure)
-            rows = _rows([diagnostics], last_decade_relative_change="relative_change")
-            return _emit(out, args, rows, args.digits)
-        if family == "lacunary" and args.limit < 1:  # the library takes 0: a warning and the empty sum
-            raise FlintHillsError("x must be >= 1")
+    if args.report and not checkpoints:
+        diagnostics = series.convergence_report(spec, ctx, measure=args.measure)
+        rows = _rows([diagnostics], last_decade_relative_change="relative_change")
+        return _emit(out, args, rows, args.digits)
     result = series.partial_sum(spec, ctx, checkpoints)
     if checkpoints:
         rows = [{"x": x, "partial_sum": value} for x, value in result.checkpoints]

@@ -43,6 +43,7 @@ from .mpreal import (
 # integer orders above this get the closed form only: the sum form costs one
 # working-precision cosine per term
 SUM_FORM_MAX_ORDER = 10**6
+MAX_ARG_DIGITS = 4300  # Fraction builds 10**exponent first; Python parses ints up to 4300 digits
 
 
 def v2(m: int) -> int:
@@ -115,16 +116,28 @@ def shift_term(p: int, ctx: RealContext, index: int = 0) -> ShiftSequenceTerm:
     )
 
 
-def _exact(value, ctx: RealContext) -> Fraction:
+def exact_decimal(text: str, name: str) -> Fraction:
+    """A decimal (or a/b) string as an exact rational of bounded size; errors name it."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        too_long = len(text) > MAX_ARG_DIGITS or (e and abs(int(exponent)) > MAX_ARG_DIGITS)
+        value = None if too_long else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{name} must be a number, got {text!r}") from None
+    if too_long:  # outside the try: DomainError is a ValueError
+        raise DomainError(f"{name} is too long or its exponent too large, got {text!r}")
+    return value
+
+
+def _exact(value, ctx: RealContext, name: str) -> Fraction:
     """An int, Fraction, decimal string, or mpf (at its exact binary value) as a Fraction."""
-    if isinstance(value, (int, Fraction, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"kernel argument must be a finite number, got {value!r}") from None
+    if isinstance(value, str):
+        return exact_decimal(value, name)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
     value = ctx._mp.mpf(value)
     if not ctx._mp.isfinite(value):
-        raise DomainError("kernel argument must be finite")
+        raise DomainError(f"{name} must be finite")
     man, exp = value.man_exp
     return Fraction(int(man) << exp) if exp >= 0 else Fraction(int(man), 1 << -exp)
 
@@ -146,14 +159,14 @@ def _kernel(x, z, ctx: RealContext, fejer: bool) -> KernelEval:
     form runs over cos(2 n theta), theta = z - q pi the same exact residue.
     """
     mp = ctx._mp
-    zq = _exact(z, ctx)
+    zq = _exact(z, ctx, "z")
     red = reduction_digits(zq, ctx)
     _, r = residue_mod_pi(0, 1, zq, red)
     zv = _rounded(zq, ctx)
     if abs(r) < 10 ** (red - ctx.decimal_digits // 2):
         raise SingularArgumentError(f"z={zv} is within tolerance of a multiple of pi")
     order = _is_order(x)
-    xq = _exact(x, ctx)
+    xq = _exact(x, ctx, "x")
     if fejer:
         s = sin_int((xq + 1) * zq, ctx)
         closed = s * s / (sin_int(zq, ctx) ** 2)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 from mpmath.libmp import (
@@ -173,8 +172,9 @@ def _run_sum(mp, indices, sine, spec, checkpoints=()):
     )
 
 
-def _check_uv(u, v):
-    if not (float(u) > 0 and float(v) > 0):
+def _check_uv(mp, spec):
+    # compared as mpf, not float: an int exponent past 2^1024 has no float
+    if not (mp.mpf(spec.u) > 0 and mp.mpf(spec.v) > 0):
         raise DomainError("series exponents u, v must be positive")
 
 
@@ -277,33 +277,27 @@ def _flat_sine(spec: SeriesSpec, ctx: RealContext):
 
 def _terms(spec: SeriesSpec, ctx: RealContext, end: int):
     """Validate the spec; return its index stream up to end and its sine."""
-    x = spec.limit
-    if spec.family == "flint":
+    x, mp = spec.limit, ctx._mp
+    if spec.family in ("flint", "lacunary"):
         if x < 1:
             raise DomainError("x must be >= 1")
-        _check_uv(spec.u, spec.v)
+        _check_uv(mp, spec)
+        if spec.family == "lacunary":
+            return _record_indices(end), lambda n: sin_int(n, ctx)._mpf_
         run = sine_run(ctx, end, functools.partial(flint_residues, ctx))
         # every integer sine stays a call of sin_int, the layer bench/tracing.py counts as reduction
         return range(1, end + 1), lambda n: sin_int(n, ctx, run)._mpf_
-    if spec.family == "lacunary":
-        if x < 0:
-            raise DomainError("x must be >= 0")
-        _check_uv(spec.u, spec.v)
-        indices = _record_indices(end)
-        if not indices:
-            warnings.warn("no record indices at or below the limit; sum is empty", stacklevel=3)
-        return indices, lambda n: sin_int(n, ctx)._mpf_
     if spec.family == "alpha_pi":
         if x < 0:
             raise DomainError("x must be >= 0")
-        _check_uv(spec.u, spec.v)
+        _check_uv(mp, spec)
         return range(1, end + 1), _alpha_pi_sine(spec.alpha, ctx, end)
     if spec.family in ("flat_power", "flat_scaled"):
         if spec.variant not in FLAT_VARIANTS:
             raise DomainError(f"unknown variant {spec.variant!r}; known: {', '.join(FLAT_VARIANTS)}")
-        if not float(spec.u) > 1:
+        if not mp.mpf(spec.u) > 1:
             raise DomainError("flat-hills exponent a must exceed 1")
-        if float(spec.v) == 0:
+        if mp.mpf(spec.v) == 0:
             raise DomainError("flat-hills exponent b must be nonzero")
         if x < 0:
             raise DomainError("x must be >= 0")

@@ -210,6 +210,15 @@ class TestExactArguments:
         for z in (ctx50.mpf("inf"), "nan", float("inf")):
             with pytest.raises(fh.DomainError):
                 fh.dirichlet_kernel(2, z, ctx50)
+        with pytest.raises(fh.DomainError, match="^z must be a number, got 'abc'$"):
+            fh.dirichlet_kernel(2, "abc", ctx50)
+
+    @pytest.mark.parametrize("kernel", [fh.dirichlet_kernel, fh.fejer_kernel])
+    @pytest.mark.parametrize("z", ["1e4301", "1e-4301", "1" * 4301], ids=["exponent", "negative-exponent", "long"])
+    def test_decimal_past_the_cap_rejected(self, ctx50, kernel, z):
+        # refused before Fraction builds 10**exponent; the longest accepted is 4300
+        with pytest.raises(fh.DomainError, match=f"^z is too long or its exponent too large, got '{z}'$"):
+            kernel(3, z, ctx50)
 
 
 class TestRealTechnique:

@@ -90,6 +90,14 @@ class TestFlintPartialSum:
             fh.partial_sum(flat_spec("flat_power", "nearest", inf, 1, 3), ctx50)
         with pytest.raises(fh.DomainError, match="^series exponents u, v must be positive$"):
             fh.partial_sum(flint_spec(float("nan"), 2, 3), ctx50)
+        # 10**400 has no float, yet sums: past n = 1 every term is below working precision
+        first = 1 / ctx50._mp.sin(1) ** 2
+        for spec in (flint_spec(10**400, 2, 3), fh.SeriesSpec(family="lacunary", u=10**400, v=2, limit=3)):
+            assert fh.partial_sum(spec, ctx50).value == first
+        assert fh.partial_sum(flint_spec(3, 10**400, 1), ctx50).value > 0
+        assert fh.partial_sum(flat_spec("flat_power", "nearest", 10**400, 1, 3), ctx50).value > 0
+        report = fh.convergence_report(flint_spec(10**400, 2, 4), ctx50)
+        assert report.predicted_convergent and report.partial_sum == first
 
     def test_power_is_exact_below_the_bound(self, ctx50):
         # below the bound n**k is rounded once from the exact integer; above it
@@ -137,10 +145,12 @@ class TestLacunaryPartialSum:
         assert rel_err(r.value, oracle) < 1e-12
         assert abs(oracle - 3.2720521259710487) < 1e-12
 
-    def test_empty_sum_warns(self, ctx50):
-        with pytest.warns(UserWarning):
-            r = fh.partial_sum(lacunary_spec(0), ctx50)
-        assert r.value == 0 and r.largest_term is None
+    @pytest.mark.parametrize("checkpoints", [(), (1, 3)])
+    def test_limit_below_one_raises(self, ctx50, checkpoints):
+        # flint's rule: the index 1 is a record index of every limit >= 1
+        for limit in (0, -5):
+            with pytest.raises(fh.DomainError, match=r"^x must be >= 1$"):
+                fh.partial_sum(lacunary_spec(limit), ctx50, checkpoints)
 
     def test_splitting_identity(self, ctx50):
         # P_x = (sum over non-record n) + Q_x, recomputed independently
