@@ -8,6 +8,7 @@ gamma-reflect, series, stats, verify.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from . import cache as cache_mod
 from . import contfrac, diophantine, kernels, series, stats
 from .errors import FlintHillsError
 from .mpreal import FIXTURES, make_context
-from .output import DEFAULT_SIGNIFICANT_DIGITS, FORMATS, emit_rows
+from .output import DEFAULT_SIGNIFICANT_DIGITS, FORMATS, LazyTable, emit_rows
 
 DEFAULT_DIGITS = 50
 
@@ -124,7 +125,7 @@ def _rows(records, **rename) -> list[dict]:
     return [{rename.get(k, k): v for k, v in vars(r).items()} for r in records]
 
 
-def _emit(out, args, rows: list[dict], digits: int) -> int:
+def _emit(out, args, rows, digits: int) -> int:
     """Write the rows (all `digits` under --full) and return the success code.
 
     A reader that closes the pipe early (``| head``) ends the output, not the
@@ -169,14 +170,16 @@ def _cmd_expand(args, out):
     pq = _quotients_for(args, args.terms)
     if args.cache_write:
         cache_mod.write_entry(pq)
-    rows = [{"k": i, "a": a} for i, a in enumerate(pq.terms)]
+    rows = LazyTable(len(pq.terms), lambda: ({"k": i, "a": a} for i, a in enumerate(pq.terms)))
     return _emit(out, args, rows, 30)
 
 
 def _cmd_convergents(args, out):
     pq = _quotients_for(args, args.terms, use_cache=args.cache_read)
-    pairs = contfrac.decimal_convergents(pq, args.terms)
-    rows = [{"n": n, "p": p, "q": q} for n, (p, q) in enumerate(pairs, start=1)]
+    contfrac.decimal_convergents(pq, args.terms)  # checks the count before it is the table's length
+    # each pass reruns the recurrence, so no convergent outlives its row
+    rows = LazyTable(args.terms, lambda: ({"n": n, "p": p, "q": q} for n, (p, q)
+                                          in enumerate(contfrac.decimal_convergents(pq, args.terms), start=1)))
     return _emit(out, args, rows, 30)
 
 
@@ -312,9 +315,9 @@ def _cmd_verify(args, out):
     fixture = _resolve_fixture(args.fixture, default_name)
     # integral Decimals: a mismatch row may hold a convergent past 4300 digits
     pairs = contfrac.decimal_convergents(contfrac.expand_constant("pi", args.terms), args.terms)
-    seq = [q if args.sequence == "denominators" else p for p, q in pairs]
+    seq = (q if args.sequence == "denominators" else p for p, q in pairs)
     if args.sequence == "lacunary":  # the record indices of A046947 start at n = 1
-        seq.insert(0, 1)
+        seq = itertools.chain((1,), seq)
     report = contfrac.verify_fixture(seq, fixture, index_offset=offset)
     rows = [
         {

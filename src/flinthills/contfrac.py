@@ -212,12 +212,8 @@ def _expand_at(constant_id: str, max_terms: int, digits: int) -> PartialQuotient
     return expand(constant_value(constant_id, ctx), max_terms, ctx, constant_id=constant_id)
 
 
-def convergent_pairs(pq: PartialQuotients, count: int, one=1) -> Iterator[tuple]:
-    """The first ``count`` pairs (p_n, q_n), folded lazily in the type of ``one``.
-
-    The count and the terms are checked when this is called, before the first
-    pair is folded: every term must be an int (see ``convergents``).
-    """
+def _checked_terms(pq: PartialQuotients, count: int) -> tuple[int, ...]:
+    """The first ``count`` terms, once the count and the type of every term are checked."""
     if count < 1:
         raise DomainError("count must be positive")
     if count > len(pq.terms):
@@ -228,13 +224,21 @@ def convergent_pairs(pq: PartialQuotients, count: int, one=1) -> Iterator[tuple]
     for k, a in enumerate(terms):
         if type(a) is not int:
             raise CrossCheckError(f"partial quotient {k} is a {type(a).__name__}, not an int")
-    return _recurrence(terms, one)
+    return terms
 
 
-def _recurrence(terms, one) -> Iterator[tuple]:
+def convergent_pairs(pq: PartialQuotients, count: int) -> Iterator[tuple[int, int]]:
+    """The first ``count`` pairs (p_n, q_n), folded lazily.
+
+    The count and the terms are checked when this is called, before the first
+    pair is folded: every term must be an int (see ``convergents``).
+    """
+    return _recurrence(_checked_terms(pq, count))
+
+
+def _recurrence(terms) -> Iterator[tuple[int, int]]:
     """(p_n, q_n) from (p_(-1), q_(-1)) = (1, 0) and (p_(-2), q_(-2)) = (0, 1)."""
-    zero = one - one
-    p, p_prev, q, q_prev = one, zero, zero, one
+    p, p_prev, q, q_prev = 1, 0, 0, 1
     for a in terms:
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
@@ -260,16 +264,25 @@ _EXACT_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                                  traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow])
 
 
-def decimal_convergents(pq: PartialQuotients, count: int) -> list[tuple[Decimal, Decimal]]:
-    """The first ``count`` pairs (p_n, q_n) as exact integral Decimals.
+def decimal_convergents(pq: PartialQuotients, count: int) -> Iterator[tuple[Decimal, Decimal]]:
+    """The first ``count`` pairs (p_n, q_n) as exact integral Decimals, folded lazily.
 
-    Same recurrence and checks as ``convergents``.  ``str`` of an integral
-    Decimal takes time linear in its length and has no digit limit, where
-    ``str`` of an int is quadratic and stops at 4300 digits, so tables of
-    convergents are printed from these.
+    Same recurrence and call-time checks as ``convergent_pairs``.  ``str`` of
+    an integral Decimal takes time linear in its length and has no digit
+    limit, where ``str`` of an int is quadratic and stops at 4300 digits, so
+    tables of convergents are printed from these.
     """
-    with decimal.localcontext(_EXACT_DECIMAL):
-        return list(convergent_pairs(pq, count, Decimal(1)))
+    return _decimal_recurrence(_checked_terms(pq, count))
+
+
+def _decimal_recurrence(terms) -> Iterator[tuple[Decimal, Decimal]]:
+    """``_recurrence`` by the exact context's own fma: no context is entered, so none leaks to the consumer."""
+    fma = _EXACT_DECIMAL.fma
+    p, p_prev, q, q_prev = Decimal(1), Decimal(0), Decimal(0), Decimal(1)
+    for a in terms:
+        p, p_prev = fma(a, p, p_prev), p
+        q, q_prev = fma(a, q, q_prev), q
+        yield p, q
 
 
 def constant_convergents(constant_id: str, count: int) -> list[Convergent]:

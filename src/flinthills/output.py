@@ -5,10 +5,13 @@ rendered once (default 6 significant digits, the table convention) and the
 rendered token is inserted verbatim into CSV cells and JSON values, so
 emissions of the same command are numerically identical and byte-reproducible.
 
-Rows are written to the output one at a time.  Integers (ints and integral
-Decimals) are rendered only as their row is written; plain measures their
-column widths by digit count, so a table of huge integers is never held as
-text.  Integral Decimals print in time linear in their length and without
+A table is any re-iterable row collection with ``len()``: a list, or a
+``LazyTable`` that makes its rows afresh on each pass and so is never held.
+CSV and JSON make one pass; plain makes two, the first to measure column
+widths.  Rows are written to the output one at a time.  Integers (ints and
+integral Decimals) are rendered only as their row is written; plain measures
+their column widths by digit count, so a table of huge integers is never held
+as text.  Integral Decimals print in time linear in their length and without
 Python's 4300-digit limit on int -> str; other cells that meet it print with it lifted.
 """
 
@@ -16,7 +19,9 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections.abc import Callable, Collection, Iterator
 from decimal import Decimal
+from itertools import chain, islice
 
 import mpmath
 
@@ -28,6 +33,7 @@ DEFAULT_SIGNIFICANT_DIGITS = 6
 _INTEGERS = (int, Decimal)  # exact types: a bool renders as true/false
 _CSV_SPECIAL = (",", '"', "\r", "\n")  # a cell holding one may need csv.writer's quoting
 _LIMIT_LOCK = threading.Lock()
+_WIDTH_SLICE = 256  # rows measured at a time by plain's width pass
 
 
 def _unlimited(convert, *args) -> str:
@@ -114,30 +120,57 @@ def _csv_row_writer(out):
     return write
 
 
-def emit_rows(rows: list[dict], kind: str, significant: int, out) -> None:
-    """Write dict rows (shared key order) to the text stream ``out`` in the requested format."""
+class LazyTable:
+    """A table of ``length`` rows that ``make_rows()`` makes afresh on each pass."""
+
+    def __init__(self, length: int, make_rows: Callable[[], Iterator[dict]]):
+        self._length = length
+        self._make_rows = make_rows
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[dict]:
+        return self._make_rows()
+
+
+def emit_rows(rows: Collection[dict], kind: str, significant: int, out) -> None:
+    """Write dict rows (the first row's key order) to the text stream ``out`` in the requested format.
+
+    ``rows`` is a list or a ``LazyTable``; it is iterated, never indexed.
+    """
     if kind not in FORMATS:
         raise DomainError(f"unknown output format {kind!r}; known: {', '.join(FORMATS)}")
     if not rows:
         return
-    keys = list(rows[0].keys())
+    it = iter(rows)
+    first = next(it)
+    keys = list(first)
+    it = chain((first,), it)
     if kind == "csv":
         write = _csv_row_writer(out)
         write(keys)
-        for row in rows:
+        for row in it:
             write([_render(row.get(k), significant, json_mode=False) for k in keys])
         return
     if kind == "json":
         import json
 
-        for row in rows:
+        for row in it:
             parts = [f"{json.dumps(k)}: {_render(row.get(k), significant, json_mode=True)}" for k in keys]
             out.write("{" + ", ".join(parts) + "}\n")
         return
-    # plain: space-aligned table; the width pass renders every cell but the integers
-    cells = [[v if type(v) in _INTEGERS else _render(v, significant, json_mode=False)
-              for v in map(row.get, keys)] for row in rows]
-    widths = [_column_width(k, column) for k, column in zip(keys, zip(*cells))]
+    # plain: space-aligned table.  The width pass renders every cell but the
+    # integers and keeps that text; it measures slices of rows at a time, so
+    # it holds no integer past its slice.  The write pass renders the integers.
+    widths = [0] * len(keys)
+    texts: list[str] = []
+    while chunk := [[v if type(v) in _INTEGERS else _render(v, significant, json_mode=False)
+                     for v in map(row.get, keys)] for row in islice(it, _WIDTH_SLICE)]:
+        widths = [max(w, _column_width(k, column)) for w, k, column in zip(widths, keys, zip(*chunk))]
+        texts += [c for r in chunk for c in r if type(c) not in _INTEGERS]
+    text = iter(texts).__next__
     out.write("  ".join(k.ljust(widths[i]) for i, k in enumerate(keys)).rstrip() + "\n")
-    for r in cells:
-        out.write("  ".join([_render(c, significant, False).ljust(w) for c, w in zip(r, widths)]).rstrip() + "\n")
+    for row in rows:
+        out.write("  ".join([(_render(v, significant, False) if type(v) in _INTEGERS else text()).ljust(w)
+                             for v, w in zip(map(row.get, keys), widths)]).rstrip() + "\n")

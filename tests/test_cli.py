@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -448,7 +449,7 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert lines[1].endswith(",3,1,false")
         pq = flinthills.expand_constant("pi", 9000)
-        p_last = str(flinthills.contfrac.decimal_convergents(pq, 9000)[-1][0])
+        p_last = str(list(flinthills.contfrac.decimal_convergents(pq, 9000))[-1][0])
         assert len(p_last) > 4300
         assert lines[2:] == [f"index 9001,5,{p_last},false"]
 
@@ -617,6 +618,38 @@ class TestStreamedConvergents:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 0
         assert (len(head), err) == (100, stderr)
+
+
+class TestTableMemory:
+    """The expand, convergents and verify tables are never held: traced peaks stay near one row's size.
+
+    Each bound is at least twice the measured peak; the commands that held
+    their tables peaked at 10.8-11.9 MB (convergents), 4.7-8.2 MB (expand) and
+    9.5 MB (verify).
+    """
+
+    @pytest.fixture(scope="class")
+    def devnull(self):
+        with open(os.devnull, "w") as out:
+            assert run(["expand", "--terms", "20000"], out=out) == 0  # pi at the largest scale, cached
+            yield out
+
+    @pytest.mark.parametrize("argv, bound_mb", [
+        (["convergents", "--terms", "6000", "--format", "plain"], 4),
+        (["convergents", "--terms", "6000", "--format", "csv"], 4),
+        (["convergents", "--terms", "6000", "--format", "json"], 4),
+        (["expand", "--terms", "20000", "--format", "plain"], 2.5),
+        (["expand", "--terms", "20000", "--format", "json"], 2.5),
+        (["verify", "--sequence", "numerators", "--terms", "6000"], 3),
+    ], ids=["convergents-plain", "convergents-csv", "convergents-json", "expand-plain", "expand-json", "verify"])
+    def test_traced_peak(self, argv, bound_mb, devnull):
+        tracemalloc.start()
+        try:
+            assert run(argv, out=devnull) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
 
 
 class TestColdImports:

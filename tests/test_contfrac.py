@@ -1,11 +1,14 @@
 from decimal import Decimal
 from fractions import Fraction
 
+import decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flinthills as fh
+from flinthills import contfrac
 from flinthills.contfrac import decimal_convergents
 
 from conftest import unlimited_int_str
@@ -73,6 +76,16 @@ class TestConvergents:
         pq = fh.PartialQuotients("three", (3, 7), 30)
         with pytest.raises(fh.InsufficientTermsError, match="2 terms"):
             fh.convergents(pq, 5)
+        with pytest.raises(fh.InsufficientTermsError, match="2 terms"):
+            decimal_convergents(pq, 5)  # raised at the call, before any pair is taken
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_must_be_positive(self, count):
+        pq = fh.PartialQuotients("three", (3, 7), 30)
+        with pytest.raises(fh.DomainError, match="count must be positive"):
+            fh.convergents(pq, count)
+        with pytest.raises(fh.DomainError, match="count must be positive"):
+            decimal_convergents(pq, count)
 
     def test_determinant_identity(self):
         convs = fh.constant_convergents("pi", 60)
@@ -139,10 +152,41 @@ class TestDecimalConvergents:
         with unlimited_int_str():
             assert _as_strings(decimal_convergents(pq, len(pq.terms))) == [(str(c.p), str(c.q)) for c in ints]
 
+    def test_pairs_are_folded_only_as_they_are_taken(self, monkeypatch):
+        steps = []
+
+        class _CountingContext(decimal.Context):
+            def fma(self, a, b, c):
+                steps.append(a)
+                return super().fma(a, b, c)
+
+        exact = contfrac._EXACT_DECIMAL
+        monkeypatch.setattr(contfrac, "_EXACT_DECIMAL", _CountingContext(
+            prec=exact.prec, Emax=exact.Emax, traps=[s for s, on in exact.traps.items() if on]))
+        pairs = decimal_convergents(fh.PartialQuotients("pi", tuple(PI_FIRST_30), 30), 30)
+        assert steps == []
+        assert next(pairs) == (Decimal(3), Decimal(1))
+        assert steps == [3, 3]  # one fma for p_0, one for q_0, none for the 29 pairs not taken
+        assert next(pairs) == (Decimal(22), Decimal(7))
+        assert steps == [3, 3, 7, 7]
+
+    def test_caller_context_is_untouched_between_pairs(self):
+        default = decimal.Context()
+        pq = fh.PartialQuotients("pi", tuple(PI_FIRST_30), 30)
+        pairs = decimal_convergents(pq, 30)
+        next(pairs)
+        next(pairs)
+        context = decimal.getcontext()
+        assert context.prec == default.prec == 28
+        assert context.traps == default.traps
+        assert Decimal(1) / 3 == Decimal("0.3333333333333333333333333333")  # rounds, no Inexact trap
+        last = fh.convergents(pq, 30)[-1]
+        assert list(pairs)[-1] == (Decimal(last.p), Decimal(last.q))
+
     def test_pi_first_9200_rows(self):
         pq = fh.expand_constant("pi", 9200)
         ints = fh.convergents(pq, 9200)
-        decimals = decimal_convergents(pq, 9200)
+        decimals = list(decimal_convergents(pq, 9200))
         assert len(str(decimals[-1][0])) > 4300  # past Python's int -> str limit
         with unlimited_int_str():
             assert _as_strings(decimals) == [(str(c.p), str(c.q)) for c in ints]

@@ -1,4 +1,4 @@
-"""Row emission: streamed writes, and plain widths measured without rendering integers."""
+"""Row emission: streamed writes, lazy tables, and plain widths measured without rendering integers."""
 
 import csv
 import io
@@ -13,9 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
-from flinthills.output import _integer_width, _render, _unlimited, emit_rows
+from flinthills.output import LazyTable, _integer_width, _render, _unlimited, emit_rows
 
 from conftest import unlimited_int_str
+
+
+def _lazy(rows):
+    """A LazyTable of fresh copies of ``rows``, which counts its passes."""
+
+    def make_rows():
+        table.passes += 1
+        return (dict(row) for row in rows)
+
+    table = LazyTable(len(rows), make_rows)
+    table.passes = 0
+    return table
+
+
+def _emitted(rows, kind, significant=6):
+    out = io.StringIO()
+    emit_rows(rows, kind, significant, out)
+    return out.getvalue()
 
 
 def _plain_reference(rows, significant):
@@ -48,9 +66,16 @@ class TestPlainWidths:
     def test_plain_matches_render_first_reference(self, cells):
         rows = [{"n": i, "int": a, "dec": Decimal(a), "mixed": a if i % 2 else Decimal(-a), "other": b}
                 for i, (a, b) in enumerate(cells)]
-        buf = io.StringIO()
-        assert emit_rows(rows, "plain", 6, buf) is None
-        assert buf.getvalue() == _plain_reference(rows, 6)
+        for table in (rows, _lazy(rows)):
+            buf = io.StringIO()
+            assert emit_rows(table, "plain", 6, buf) is None
+            assert buf.getvalue() == _plain_reference(rows, 6)
+
+    def test_widths_span_every_width_slice(self):
+        # the widest integer and the widest text sit in different 256-row slices of the width pass
+        rows = [{"n": n, "p": 10**40 if n == 700 else n, "t": "x" * 30 if n == 300 else "y"} for n in range(900)]
+        for table in (rows, _lazy(rows)):
+            assert _emitted(table, "plain") == _plain_reference(rows, 6)
 
 
 class TestStreaming:
@@ -63,17 +88,45 @@ class TestStreaming:
             self.writes += 1
             return super().write(text)
 
+    @pytest.mark.parametrize("lazy", [False, True], ids=["list", "lazy"])
     @pytest.mark.parametrize("kind", ["plain", "csv", "json"])
-    def test_one_write_per_row(self, kind):
+    def test_one_write_per_row(self, kind, lazy):
         rows = [{"n": n, "p": Decimal(3 * n)} for n in range(50)]
         out = self._Recorder()
-        emit_rows(rows, kind, 6, out)
+        emit_rows(_lazy(rows) if lazy else rows, kind, 6, out)
         assert out.writes == len(rows) + (kind != "json")  # plus the header line
 
-    def test_no_rows_writes_nothing(self):
-        out = io.StringIO()
-        emit_rows([], "csv", 6, out)
-        assert out.getvalue() == ""
+    @pytest.mark.parametrize("kind", ["plain", "csv", "json"])
+    def test_no_rows_writes_nothing(self, kind):
+        for table in ([], _lazy([])):
+            assert _emitted(table, kind) == ""
+
+    @pytest.mark.parametrize("kind, passes", [("plain", 2), ("csv", 1), ("json", 1)])
+    def test_passes_over_a_lazy_table(self, kind, passes):
+        table = _lazy([{"n": n, "p": 10**n, "x": mpmath.mpf(n) / 7} for n in range(600)])
+        _emitted(table, kind)
+        assert table.passes == passes
+
+    def test_rows_are_made_only_as_they_are_written(self):
+        made = []
+
+        def make_rows():
+            for n in range(5):
+                made.append(n)
+                yield {"n": n}
+
+        class _Stop(Exception):
+            pass
+
+        class _StopAfterTwoRows(io.StringIO):
+            def write(self, text):
+                if self.getvalue().count("\n") == 3:  # the header and two rows
+                    raise _Stop
+                return super().write(text)
+
+        with pytest.raises(_Stop):
+            emit_rows(LazyTable(5, make_rows), "csv", 6, _StopAfterTwoRows())
+        assert made == [0, 1, 2]
 
 
 class TestCsvRows:
@@ -97,9 +150,32 @@ class TestCsvRows:
     @settings(max_examples=300, deadline=None)
     def test_matches_csv_writer(self, keys, data):
         rows = data.draw(st.lists(st.fixed_dictionaries({k: self._CELLS for k in keys}), min_size=1, max_size=6))
-        buf = io.StringIO()
-        emit_rows(rows, "csv", 6, buf)
-        assert buf.getvalue() == self._reference(rows, 6)
+        assert _emitted(rows, "csv") == _emitted(_lazy(rows), "csv") == self._reference(rows, 6)
+
+
+class TestLazyTables:
+    """A lazy table prints the bytes the list of its rows prints."""
+
+    _HUGE = st.builds(lambda k, d, s: s * (10**k + d), st.integers(4290, 4400), st.integers(-2, 1),
+                      st.sampled_from((1, -1)))
+    _CELLS = st.one_of(
+        st.integers(), _HUGE, st.builds(Decimal, st.integers()), st.builds(Decimal, _HUGE),
+        st.none(), st.booleans(), st.text(alphabet=st.sampled_from('ab ,"\n'), max_size=6),
+        st.builds(mpmath.mpf, st.floats(allow_nan=False)),
+    )
+
+    @given(keys=st.lists(st.sampled_from(["n", "p", "q", "a,b", 'say "x"']), min_size=1, max_size=4, unique=True),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_list_and_lazy_table_print_the_same(self, keys, data):
+        rows = data.draw(st.lists(st.fixed_dictionaries({k: self._CELLS for k in keys}), min_size=0, max_size=5))
+        for kind in ("plain", "csv", "json"):
+            assert _emitted(_lazy(rows), kind) == _emitted(rows, kind)
+
+    @pytest.mark.parametrize("kind", ["plain", "csv", "json"])
+    def test_one_row(self, kind):
+        rows = [{"n": 1, "p": -Decimal(10**4500 + 7), "s": 'a,"b"\nc', "x": mpmath.mpf(1) / 3, "b": True, "z": None}]
+        assert _emitted(_lazy(rows), kind) == _emitted(rows, kind)
 
 
 def _huge_mantissa():
@@ -110,17 +186,18 @@ def _huge_mantissa():
 
 
 class TestPastTheIntStrLimit:
+    @pytest.mark.parametrize("lazy", [False, True], ids=["list", "lazy"])
     @pytest.mark.parametrize("kind", ["plain", "csv", "json"])
     @pytest.mark.parametrize("value, convert", [(10**5000 + 1, str), (_huge_mantissa(), lambda v: mpmath.nstr(v, 6))],
                              ids=["int", "mpf"])
-    def test_prints_what_the_unlimited_conversion_prints(self, value, convert, kind):
+    def test_prints_what_the_unlimited_conversion_prints(self, value, convert, kind, lazy):
         with pytest.raises(ValueError):
             convert(value)
         with unlimited_int_str():
             text = convert(value)
-        out = io.StringIO()
-        emit_rows([{"p": value}], kind, 6, out)
-        assert out.getvalue() == ('{"p": %s}\n' % text if kind == "json" else f"p\n{text}\n")
+        rows = [{"p": value}]
+        assert _emitted(_lazy(rows) if lazy else rows, kind) == ('{"p": %s}\n' % text if kind == "json"
+                                                                 else f"p\n{text}\n")
 
     def test_overlapping_retries_restore_the_limit(self):
         # the second retry starts while the first has the limit lifted; it must not save and restore that lifted value
