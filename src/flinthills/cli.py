@@ -37,86 +37,83 @@ def _add_common(p: argparse.ArgumentParser, digits_default=None):
                    help="print all context digits instead of 6 significant digits")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, with arguments only on the subparser of ``command``.
+
+    Every subcommand is listed with its help, but only the one a request names
+    gets its arguments, so no layer runs for another command's choices (those
+    of ``series`` come from the series layer).
+    """
     ap = argparse.ArgumentParser(
         prog="flinthills",
         description="Arbitrary-precision continued fractions of pi, empirical "
                     "irrationality measures, summation kernels, and Flint Hills sums.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="certified partial quotients of a constant")
-    p.add_argument("--constant", choices=contfrac.KNOWN_CONSTANTS, default="pi")
-    p.add_argument("--terms", type=int, required=True)
-    p.add_argument("--cache-write", action="store_true", help="store the expansion in the cache")
-    _add_common(p)
-
-    p = sub.add_parser("convergents", help="exact convergents p_n/q_n")
-    p.add_argument("--constant", choices=contfrac.KNOWN_CONSTANTS, default="pi")
-    p.add_argument("--terms", type=int, required=True)
-    p.add_argument("--cache-read", action="store_true", help="reuse a cached expansion when fresh enough")
-    _add_common(p)
-
-    p = sub.add_parser("measure", help="empirical irrationality measure table")
-    p.add_argument("--constant", choices=contfrac.KNOWN_CONSTANTS, default="pi")
-    p.add_argument("--terms", type=int, default=25)
-    _add_common(p, digits_default=DEFAULT_DIGITS)
-
-    p = sub.add_parser("audit", help="approximation inequality audit over convergents")
-    p.add_argument("--constant", choices=contfrac.KNOWN_CONSTANTS, default="pi")
-    p.add_argument("--n-max", type=int, default=25)
-    p.add_argument("--start", type=int, default=1)
-    _add_common(p, digits_default=DEFAULT_DIGITS)
-
-    p = sub.add_parser("kernel", help="Dirichlet/Fejer kernel values, or the cf-shift audit")
-    p.add_argument("--type", choices=("dirichlet", "fejer", "cf"), required=True)
-    p.add_argument("--x", default=None, help="kernel order (integer enables the sum form)")
-    p.add_argument("--z", default=None, help="kernel argument (decimal)")
-    p.add_argument("--d", type=int, default=None, help="cf technique: parameter d > 16 pi^4")
-    p.add_argument("--m-max", type=int, default=10, help="cf technique: convergents to audit")
-    _add_common(p, digits_default=DEFAULT_DIGITS)
-
-    p = sub.add_parser("shift", help="2-adic shift sequence report over p_n")
-    p.add_argument("--n-max", type=int, default=25)
-    p.add_argument("--technique", choices=("real", "integer"), default="real")
-    _add_common(p, digits_default=DEFAULT_DIGITS)
-
-    p = sub.add_parser("recip-sin", help="reciprocal sine table over p_n")
-    p.add_argument("--n-max", type=int, default=25)
-    _add_common(p, digits_default=DEFAULT_DIGITS)
-
-    p = sub.add_parser("gamma-reflect", help="gamma reflection products over p_n")
-    p.add_argument("--n-max", type=int, default=25)
-    _add_common(p, digits_default=DEFAULT_DIGITS)
-
-    p = sub.add_parser("series", help="partial sums of the Flint Hills family")
-    p.add_argument("family", choices=tuple(f.replace("_", "-") for f in series.FAMILIES))
-    p.add_argument("--u", type=float, default=3.0)
-    p.add_argument("--v", type=float, default=2.0)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--alpha", choices=contfrac.KNOWN_CONSTANTS, default="sqrt2",
-                   help="alpha for the alpha-pi family")
-    p.add_argument("--measure", type=float, default=None,
-                   help="irrationality measure of alpha (for --report)")
-    p.add_argument("--arg", choices=series.FLAT_VARIANTS, default="nearest",
-                   help="flat families: nearest-integer distance or fractional part")
-    p.add_argument("--flat-base", type=int, default=10)
-    p.add_argument("--points", default=None,
-                   help="comma-separated checkpoints; emits (x, partial sum) pairs")
-    p.add_argument("--report", action="store_true", help="emit convergence diagnostics instead")
-    _add_common(p, digits_default=DEFAULT_DIGITS)
-
-    p = sub.add_parser("stats", help="partial-quotient statistics")
-    p.add_argument("--constant", choices=contfrac.KNOWN_CONSTANTS, default="pi")
-    p.add_argument("--terms", type=int, default=10000)
-    p.add_argument("--histogram", action="store_true", help="emit the value histogram rows")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="compare a computed sequence against an OEIS b-file")
-    p.add_argument("--sequence", choices=tuple(_FIXTURE_DEFAULTS), required=True)
-    p.add_argument("--fixture", default=None, help="b-file path (default: bundled fixture)")
-    p.add_argument("--terms", type=int, default=25)
-    _add_common(p)
+    parsers = {name: sub.add_parser(name, help=help_text) for name, (_, help_text) in _COMMANDS.items()}
+    p = parsers.get(command)
+    if command == "expand":
+        p.add_argument("--constant", choices=contfrac.KNOWN_CONSTANTS, default="pi")
+        p.add_argument("--terms", type=int, required=True)
+        p.add_argument("--cache-write", action="store_true", help="store the expansion in the cache")
+        _add_common(p)
+    elif command == "convergents":
+        p.add_argument("--constant", choices=contfrac.KNOWN_CONSTANTS, default="pi")
+        p.add_argument("--terms", type=int, required=True)
+        p.add_argument("--cache-read", action="store_true", help="reuse a cached expansion when fresh enough")
+        _add_common(p)
+    elif command == "measure":
+        p.add_argument("--constant", choices=contfrac.KNOWN_CONSTANTS, default="pi")
+        p.add_argument("--terms", type=int, default=25)
+        _add_common(p, digits_default=DEFAULT_DIGITS)
+    elif command == "audit":
+        p.add_argument("--constant", choices=contfrac.KNOWN_CONSTANTS, default="pi")
+        p.add_argument("--n-max", type=int, default=25)
+        p.add_argument("--start", type=int, default=1)
+        _add_common(p, digits_default=DEFAULT_DIGITS)
+    elif command == "kernel":
+        p.add_argument("--type", choices=("dirichlet", "fejer", "cf"), required=True)
+        p.add_argument("--x", default=None, help="kernel order (integer enables the sum form)")
+        p.add_argument("--z", default=None, help="kernel argument (decimal)")
+        p.add_argument("--d", type=int, default=None, help="cf technique: parameter d > 16 pi^4")
+        p.add_argument("--m-max", type=int, default=10, help="cf technique: convergents to audit")
+        _add_common(p, digits_default=DEFAULT_DIGITS)
+    elif command == "shift":
+        p.add_argument("--n-max", type=int, default=25)
+        p.add_argument("--technique", choices=("real", "integer"), default="real")
+        _add_common(p, digits_default=DEFAULT_DIGITS)
+    elif command == "recip-sin":
+        p.add_argument("--n-max", type=int, default=25)
+        _add_common(p, digits_default=DEFAULT_DIGITS)
+    elif command == "gamma-reflect":
+        p.add_argument("--n-max", type=int, default=25)
+        _add_common(p, digits_default=DEFAULT_DIGITS)
+    elif command == "series":
+        p.add_argument("family", choices=tuple(f.replace("_", "-") for f in series.FAMILIES))
+        p.add_argument("--u", type=float, default=3.0)
+        p.add_argument("--v", type=float, default=2.0)
+        p.add_argument("--limit", type=int, required=True)
+        p.add_argument("--alpha", choices=contfrac.KNOWN_CONSTANTS, default="sqrt2",
+                       help="alpha for the alpha-pi family")
+        p.add_argument("--measure", type=float, default=None,
+                       help="irrationality measure of alpha (for --report)")
+        p.add_argument("--arg", choices=series.FLAT_VARIANTS, default="nearest",
+                       help="flat families: nearest-integer distance or fractional part")
+        p.add_argument("--flat-base", type=int, default=10)
+        p.add_argument("--points", default=None,
+                       help="comma-separated checkpoints; emits (x, partial sum) pairs")
+        p.add_argument("--report", action="store_true", help="emit convergence diagnostics instead")
+        _add_common(p, digits_default=DEFAULT_DIGITS)
+    elif command == "stats":
+        p.add_argument("--constant", choices=contfrac.KNOWN_CONSTANTS, default="pi")
+        p.add_argument("--terms", type=int, default=10000)
+        p.add_argument("--histogram", action="store_true", help="emit the value histogram rows")
+        _add_common(p)
+    elif command == "verify":
+        p.add_argument("--sequence", choices=tuple(_FIXTURE_DEFAULTS), required=True)
+        p.add_argument("--fixture", default=None, help="b-file path (default: bundled fixture)")
+        p.add_argument("--terms", type=int, default=25)
+        _add_common(p)
     return ap
 
 
@@ -335,25 +332,28 @@ def _cmd_verify(args, out):
     return 0 if report.passed else 1
 
 
+# name -> (handler, help)
 _COMMANDS = {
-    "expand": _cmd_expand,
-    "convergents": _cmd_convergents,
-    "measure": _cmd_measure,
-    "audit": _cmd_audit,
-    "kernel": _cmd_kernel,
-    "shift": _cmd_shift,
-    "recip-sin": _cmd_recip_sin,
-    "gamma-reflect": _cmd_gamma_reflect,
-    "series": _cmd_series,
-    "stats": _cmd_stats,
-    "verify": _cmd_verify,
+    "expand": (_cmd_expand, "certified partial quotients of a constant"),
+    "convergents": (_cmd_convergents, "exact convergents p_n/q_n"),
+    "measure": (_cmd_measure, "empirical irrationality measure table"),
+    "audit": (_cmd_audit, "approximation inequality audit over convergents"),
+    "kernel": (_cmd_kernel, "Dirichlet/Fejer kernel values, or the cf-shift audit"),
+    "shift": (_cmd_shift, "2-adic shift sequence report over p_n"),
+    "recip-sin": (_cmd_recip_sin, "reciprocal sine table over p_n"),
+    "gamma-reflect": (_cmd_gamma_reflect, "gamma reflection products over p_n"),
+    "series": (_cmd_series, "partial sums of the Flint Hills family"),
+    "stats": (_cmd_stats, "partial-quotient statistics"),
+    "verify": (_cmd_verify, "compare a computed sequence against an OEIS b-file"),
 }
 
 
 def run(argv, out=None) -> int:
     """Entry point; returns the process exit code instead of raising."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
+    # the top level has no option that takes a value, so the first token not
+    # starting with "-" is the subcommand argparse picks
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -361,7 +361,7 @@ def run(argv, out=None) -> int:
     try:
         if args.digits is not None:
             make_context(args.digits)  # rejects a too-low --digits before any work
-        return _COMMANDS[args.command](args, out)
+        return _COMMANDS[args.command][0](args, out)
     except FlintHillsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -156,8 +156,9 @@ def emit_rows(rows: Collection[dict], kind: str, significant: int, out) -> None:
     if kind == "json":
         import json
 
+        names = [json.dumps(k) for k in keys]
         for row in it:
-            parts = [f"{json.dumps(k)}: {_render(row.get(k), significant, json_mode=True)}" for k in keys]
+            parts = [f"{name}: {_render(row.get(k), significant, json_mode=True)}" for name, k in zip(names, keys)]
             out.write("{" + ", ".join(parts) + "}\n")
         return
     # plain: space-aligned table.  The width pass renders every cell but the

@@ -652,20 +652,51 @@ class TestTableMemory:
         assert peak < bound_mb * 1e6
 
 
+_LAYERS = ("mpreal", "contfrac", "diophantine", "kernels", "series", "stats", "cache", "output", "cli")
+
+
 class TestColdImports:
     def test_plain_kernel_loads_no_hashlib_csv_or_json(self):
-        """Those three are imported where they are used; every layer module still loads eagerly."""
+        """Those three are imported where they are used, and the layers a kernel does not call never run.
+
+        Every layer is still in sys.modules, registered unrun: the bench
+        tracer reads all nine from there.  A layer whose code has not run
+        still has the package's lazy module class, which reading its type
+        does not change.
+        """
         code = (
-            "import sys\n"
+            "import sys, types\n"
             "from flinthills.cli import run\n"
             "run(['kernel', '--type', 'dirichlet', '--x', '10', '--z', '1', '--format', 'plain'])\n"
-            "layers = ('mpreal', 'contfrac', 'diophantine', 'kernels', 'series', 'stats', 'cache', 'output', 'cli')\n"
+            f"layers = {_LAYERS!r}\n"
             "print([m for m in ('hashlib', 'csv', 'json') if m in sys.modules],\n"
-            "      all(f'flinthills.{m}' in sys.modules for m in layers), file=sys.stderr)\n"
+            "      all(f'flinthills.{m}' in sys.modules for m in layers),\n"
+            "      [m for m in layers if type(sys.modules[f'flinthills.{m}']) is not types.ModuleType],\n"
+            "      file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=cold_env(), capture_output=True, text=True,
                               timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, "[] True\n")
+        assert (proc.returncode, proc.stderr) == (0, "[] True ['diophantine', 'series', 'stats', 'cache']\n")
+
+    def test_import_package_runs_no_layer(self):
+        code = (
+            "import sys, types\n"
+            "import flinthills\n"
+            f"layers = {tuple(m for m in _LAYERS if m != 'cli')!r}\n"
+            "print('mpmath' in sys.modules, 'flinthills.cli' in sys.modules,\n"
+            "      [m for m in layers if type(sys.modules[f'flinthills.{m}']) is types.ModuleType], file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=cold_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "False False []\n")
+
+    @pytest.mark.parametrize("command", ["expand", "convergents", "measure", "audit", "kernel", "shift",
+                                         "recip-sin", "gamma-reflect", "series", "stats", "verify"])
+    def test_every_subcommand_gets_its_arguments(self, command):
+        proc = cold_cli([command, "--help"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, "")
+        assert out.startswith(f"usage: flinthills {command} ") and "--format {plain,csv,json}" in out
 
     def test_bundled_fixture_without_importlib_resources(self):
         """The fixtures are read by path: under -S, with site-packages on PYTHONPATH, no resource loader loads."""
