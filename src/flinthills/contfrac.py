@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import CrossCheckError, DomainError, FixtureFormatError, InsufficientTermsError
-from .mpreal import RealContext, make_context, pi_const, to_scaled
+from .mpreal import MIN_DECIMAL_DIGITS, RealContext, make_context, pi_const, to_scaled
 
 # Lochs-type budget: one decimal digit certifies ~0.97 partial quotients of a
 # typical irrational, so 1.03 digits per requested term plus a flat margin
@@ -208,7 +208,7 @@ def expand_constant(constant_id: str, max_terms: int, digits: int | None = None)
 
 
 def _expand_at(constant_id: str, max_terms: int, digits: int) -> PartialQuotients:
-    ctx = make_context(max(digits, 30))
+    ctx = make_context(max(digits, MIN_DECIMAL_DIGITS))
     return expand(constant_value(constant_id, ctx), max_terms, ctx, constant_id=constant_id)
 
 
@@ -236,12 +236,12 @@ def convergent_pairs(pq: PartialQuotients, count: int) -> Iterator[tuple[int, in
     return _recurrence(_checked_terms(pq, count))
 
 
-def _recurrence(terms) -> Iterator[tuple[int, int]]:
-    """(p_n, q_n) from (p_(-1), q_(-1)) = (1, 0) and (p_(-2), q_(-2)) = (0, 1)."""
-    p, p_prev, q, q_prev = 1, 0, 0, 1
+def _recurrence(terms, one=1, fma=lambda a, x, y: a * x + y) -> Iterator[tuple]:
+    """(p_n, q_n) from (p_(-1), q_(-1)) = (one, 0) and (p_(-2), q_(-2)) = (0, one), each step a*x + y by fma."""
+    p, p_prev, q, q_prev = one, 0, 0, one
     for a in terms:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
+        p, p_prev = fma(a, p, p_prev), p
+        q, q_prev = fma(a, q, q_prev), q
         yield p, q
 
 
@@ -272,17 +272,9 @@ def decimal_convergents(pq: PartialQuotients, count: int) -> Iterator[tuple[Deci
     limit, where ``str`` of an int is quadratic and stops at 4300 digits, so
     tables of convergents are printed from these.
     """
-    return _decimal_recurrence(_checked_terms(pq, count))
-
-
-def _decimal_recurrence(terms) -> Iterator[tuple[Decimal, Decimal]]:
-    """``_recurrence`` by the exact context's own fma: no context is entered, so none leaks to the consumer."""
-    fma = _EXACT_DECIMAL.fma
-    p, p_prev, q, q_prev = Decimal(1), Decimal(0), Decimal(0), Decimal(1)
-    for a in terms:
-        p, p_prev = fma(a, p, p_prev), p
-        q, q_prev = fma(a, q, q_prev), q
-        yield p, q
+    # the exact context's own fma takes the int zeros exactly: no context is
+    # entered, so none leaks to the consumer
+    return _recurrence(_checked_terms(pq, count), Decimal(1), _EXACT_DECIMAL.fma)
 
 
 def constant_convergents(constant_id: str, count: int) -> list[Convergent]:

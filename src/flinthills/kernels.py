@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from .contfrac import constant_convergents, convergents, digits_for_terms, expand
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .mpreal import (
     RealContext,
+    _residue_argument,
     cos_int,
     decimal_length,
     make_context,
@@ -138,8 +139,7 @@ def _exact(value, ctx: RealContext, name: str) -> Fraction:
     value = ctx._mp.mpf(value)
     if not ctx._mp.isfinite(value):
         raise DomainError(f"{name} must be finite")
-    man, exp = value.man_exp
-    return Fraction(int(man) << exp) if exp >= 0 else Fraction(int(man), 1 << -exp)
+    return Fraction(*map(int, to_rational(value._mpf_)))  # int: under gmpy2 the parts are mpz
 
 
 def _rounded(q: Fraction, ctx: RealContext):
@@ -174,7 +174,7 @@ def _kernel(x, z, ctx: RealContext, fejer: bool) -> KernelEval:
         closed = sin_int((2 * xq + 1) * zq, ctx) / sin_int(zq, ctx)
     sum_form = None
     if order and x <= SUM_FORM_MAX_ORDER:
-        theta = mp.mpf(r) / mp.mpf(10**red)
+        theta = mp.make_mpf(_residue_argument(r, red, *mp._prec_rounding))
         one = mp.mpf(1)
         terms = (2 * mp.cos(2 * n * theta) for n in range(1, x + 1))
         # Fejer: the Dirichlet kernels D_0 + ... + D_x, each one cosine pair longer

@@ -137,13 +137,16 @@ class LazyTable:
 def emit_rows(rows: Collection[dict], kind: str, significant: int, out) -> None:
     """Write dict rows (the first row's key order) to the text stream ``out`` in the requested format.
 
-    ``rows`` is a list or a ``LazyTable``; it is iterated, never indexed.
+    ``rows`` is a list or a ``LazyTable``; it is iterated, never indexed.  A
+    one-shot iterator raises TypeError: plain format passes over the rows twice.
     """
     if kind not in FORMATS:
         raise DomainError(f"unknown output format {kind!r}; known: {', '.join(FORMATS)}")
+    it = iter(rows)
+    if it is rows:
+        raise TypeError("emit_rows needs a list or a LazyTable, not a one-shot iterator")
     if not rows:
         return
-    it = iter(rows)
     first = next(it)
     keys = list(first)
     it = chain((first,), it)

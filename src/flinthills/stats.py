@@ -9,6 +9,8 @@ proper partial quotients a_1, a_2, ... only.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
 
 from .contfrac import PartialQuotients
@@ -19,14 +21,10 @@ from .mpreal import RealContext, make_context
 # exact maximum is tracked separately
 HISTOGRAM_OVERFLOW = 10_000
 
-_stats_ctx = None
 
-
+@functools.cache
 def _ctx() -> RealContext:
-    global _stats_ctx
-    if _stats_ctx is None:
-        _stats_ctx = make_context(30)
-    return _stats_ctx
+    return make_context(30)
 
 
 @dataclass(frozen=True)
@@ -66,14 +64,8 @@ def running_geometric_mean(pq: PartialQuotients, n: int, include_leading: bool =
 
 def _log_sum(mp, terms):
     """The sum of mp.log(a) over the terms in order; each distinct a's log is computed once."""
-    logs: dict[int, object] = {}
-    total = mp.mpf(0)
-    for a in terms:
-        log_a = logs.get(a)
-        if log_a is None:
-            log_a = logs[a] = mp.log(a)
-        total += log_a
-    return total
+    logs = {a: mp.log(a) for a in dict.fromkeys(terms)}
+    return sum(map(logs.__getitem__, terms), mp.mpf(0))
 
 
 def quotient_histogram(pq: PartialQuotients, n: int) -> QuotientStats:
@@ -83,22 +75,15 @@ def quotient_histogram(pq: PartialQuotients, n: int) -> QuotientStats:
     if len(pq.terms) < n + 1:
         raise InsufficientTermsError(f"need a_1..a_{n}, have {len(pq.terms) - 1} quotients")
     mp = _ctx()._mp
-    histogram: dict[int, int] = {}
-    max_pos, max_val = 1, pq.terms[1]
-    for i in range(1, n + 1):
-        a = pq.terms[i]
-        bucket = a if a <= HISTOGRAM_OVERFLOW else -1
-        histogram[bucket] = histogram.get(bucket, 0) + 1
-        if a > max_val:
-            max_val = a
-            max_pos = i
+    histogram = dict(Counter(a if a <= HISTOGRAM_OVERFLOW else -1 for a in pq.terms[1 : n + 1]))
+    max_pos = max(range(1, n + 1), key=pq.terms.__getitem__)
     gk = {k: gauss_kuzmin_p(k) for k in sorted(v for v in histogram if v > 0)[:64]}
     freq_low = mp.mpf(histogram.get(1, 0) + histogram.get(2, 0)) / n
     return QuotientStats(
         n_terms=n,
         geometric_mean=running_geometric_mean(pq, n, include_leading=False),
         histogram=histogram,
-        max_term=(max_pos + 1, max_val),  # +1: leading term is position 1
+        max_term=(max_pos + 1, pq.terms[max_pos]),  # +1: leading term is position 1
         gk_expected=gk,
         freq_low=freq_low,
     )

@@ -149,8 +149,24 @@ class TestDecimalConvergents:
     def test_matches_int_recurrence(self, quotients, a0):
         pq = fh.PartialQuotients("random", (a0, *quotients), 30)
         ints = fh.convergents(pq, len(pq.terms))
+        decimals = list(decimal_convergents(pq, len(pq.terms)))
+        assert all(type(p) is Decimal and type(q) is Decimal for p, q in decimals)
+        assert decimals == list(contfrac.convergent_pairs(pq, len(pq.terms)))  # Decimal == int is exact
         with unlimited_int_str():
-            assert _as_strings(decimal_convergents(pq, len(pq.terms))) == [(str(c.p), str(c.q)) for c in ints]
+            assert _as_strings(decimals) == [(str(c.p), str(c.q)) for c in ints]
+
+    def test_full_pass_leaves_the_caller_context_alone(self):
+        pq = fh.PartialQuotients("random", (3, *range(10**30, 10**30 + 200)), 30)
+        with decimal.localcontext() as context:
+            context.prec = 5
+            context.clear_flags()
+            traps = dict(context.traps)
+            last = list(decimal_convergents(pq, len(pq.terms)))[-1]
+            assert context.prec == 5
+            assert not any(context.flags.values())
+            assert context.traps == traps
+        final = fh.convergents(pq, len(pq.terms))[-1]
+        assert last == (final.p, final.q)
 
     def test_pairs_are_folded_only_as_they_are_taken(self, monkeypatch):
         steps = []

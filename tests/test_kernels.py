@@ -188,6 +188,25 @@ class TestExactArguments:
         values = {fh.dirichlet_kernel(3, arg, ctx50).closed_form for arg in (z, Fraction(3, 4), "0.75", "3/4")}
         assert len(values) == 1
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    @pytest.mark.parametrize("kernel", [fh.dirichlet_kernel, fh.fejer_kernel])
+    def test_spellings_keep_the_sign(self, ctx50, kernel, sign):
+        # an mpf or a float is taken with its sign, as a string or a Fraction is
+        def spellings(q):
+            return (ctx50.mpf(q.numerator) / q.denominator, float(q), str(q), q)
+
+        def fields(k):
+            return (k.x_param, k.z, k.closed_form, k.sum_form)
+
+        z = sign * Fraction(3, 2)
+        evals = [fields(kernel(2, arg, ctx50)) for arg in spellings(z)]
+        assert evals[0][1] == z and all(e == evals[0] for e in evals)
+        if kernel is fh.dirichlet_kernel:
+            x = sign * Fraction(5, 2)
+            evals = [fields(kernel(arg, 1, ctx50)) for arg in spellings(x)]
+            assert evals[0][0] == x and all(e == evals[0] for e in evals)
+            assert rel_err(evals[0][2], math.sin(2 * x + 1) / math.sin(1)) < 1e-14
+
     def test_order_above_cap_has_no_sum_form(self, ctx50):
         x = fh.SUM_FORM_MAX_ORDER + 1
         for kernel, bound in ((fh.dirichlet_kernel, 2 * x + 1), (fh.fejer_kernel, (x + 1) ** 2)):

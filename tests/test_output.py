@@ -107,6 +107,13 @@ class TestStreaming:
         _emitted(table, kind)
         assert table.passes == passes
 
+    @pytest.mark.parametrize("kind", ["plain", "csv", "json"])
+    def test_one_shot_iterator_rejected(self, kind):
+        # plain passes over the rows twice, so a generator would lose its rows
+        rows = [{"n": n} for n in range(3)]
+        with pytest.raises(TypeError, match="list or a LazyTable"):
+            _emitted((row for row in rows), kind)
+
     def test_rows_are_made_only_as_they_are_written(self):
         made = []
 

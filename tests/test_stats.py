@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flinthills as fh
+from flinthills.stats import HISTOGRAM_OVERFLOW
 
 
 class TestGaussKuzmin:
@@ -111,3 +114,49 @@ class TestLogSumReference:
         pq, _ = pi_survey
         stats = fh.quotient_histogram(pq, 10000)
         assert stats.geometric_mean._mpf_ == self._reference_geometric_mean(pq.terms[1:10001])._mpf_
+
+
+class TestLoopReference:
+    """The histogram, extreme term and means match the per-term loops they replace, bit for bit."""
+
+    @staticmethod
+    def _reference(terms, n):
+        mp = fh.make_context(30)._mp
+        histogram = {}
+        max_pos, max_val = 1, terms[1]
+        for i in range(1, n + 1):
+            a = terms[i]
+            bucket = a if a <= HISTOGRAM_OVERFLOW else -1
+            histogram[bucket] = histogram.get(bucket, 0) + 1
+            if a > max_val:
+                max_val = a
+                max_pos = i
+
+        def mean(run):
+            logs = {}
+            total = mp.mpf(0)
+            for a in run:
+                if a not in logs:
+                    logs[a] = mp.log(a)
+                total += logs[a]
+            return mp.exp(total / len(run))
+
+        return histogram, (max_pos + 1, max_val), mean(terms[1 : n + 1]), mean(terms[:n])
+
+    # small values tie for the maximum; the rest straddle the overflow bucket
+    _QUOTIENTS = st.one_of(st.integers(1, 4), st.integers(HISTOGRAM_OVERFLOW - 1, HISTOGRAM_OVERFLOW + 2),
+                           st.integers(1, 10**30))
+
+    @given(st.lists(_QUOTIENTS, min_size=1, max_size=40), st.integers(1, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loops(self, quotients, a0, data):
+        terms = (a0, *quotients)
+        n = data.draw(st.integers(1, len(quotients)), label="n")
+        pq = fh.PartialQuotients("random", terms, 30)
+        histogram, max_term, proper_mean, leading_mean = self._reference(terms, n)
+        stats = fh.quotient_histogram(pq, n)
+        assert list(stats.histogram.items()) == list(histogram.items())
+        assert stats.max_term == max_term
+        assert stats.geometric_mean._mpf_ == proper_mean._mpf_
+        assert fh.running_geometric_mean(pq, n, include_leading=False)._mpf_ == proper_mean._mpf_
+        assert fh.running_geometric_mean(pq, n)._mpf_ == leading_mean._mpf_
