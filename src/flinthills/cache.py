@@ -31,9 +31,15 @@ def _payload(terms) -> str:
 
 
 def _digest(payload: str) -> str:
-    import hashlib  # here, not at module import: most commands never touch the cache
-
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    # the interpreter's own SHA-256, imported on use; hashlib would load OpenSSL (about 3.6 MB of RSS)
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(payload.encode("ascii")).hexdigest()
 
 
 def entry_path(constant_id: str) -> Path:

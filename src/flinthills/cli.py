@@ -167,7 +167,7 @@ def _cmd_expand(args, out):
     pq = _quotients_for(args, args.terms)
     if args.cache_write:
         cache_mod.write_entry(pq)
-    rows = LazyTable(len(pq.terms), lambda: ({"k": i, "a": a} for i, a in enumerate(pq.terms)))
+    rows = LazyTable(("k", "a"), len(pq.terms), lambda: enumerate(pq.terms))
     return _emit(out, args, rows, 30)
 
 
@@ -175,8 +175,8 @@ def _cmd_convergents(args, out):
     pq = _quotients_for(args, args.terms, use_cache=args.cache_read)
     contfrac.decimal_convergents(pq, args.terms)  # checks the count before it is the table's length
     # each pass reruns the recurrence, so no convergent outlives its row
-    rows = LazyTable(args.terms, lambda: ({"n": n, "p": p, "q": q} for n, (p, q)
-                                          in enumerate(contfrac.decimal_convergents(pq, args.terms), start=1)))
+    rows = LazyTable(("n", "p", "q"), args.terms,
+                     lambda: ((n, p, q) for n, (p, q) in enumerate(contfrac.decimal_convergents(pq, args.terms), 1)))
     return _emit(out, args, rows, 30)
 
 

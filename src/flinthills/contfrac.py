@@ -99,13 +99,18 @@ def constant_value(constant_id: str, ctx: RealContext):
     return _CONSTANTS[constant_id](ctx)
 
 
-def expand(x, max_terms: int, ctx: RealContext, constant_id: str = "x") -> PartialQuotients:
+def expand(x, max_terms: int, ctx: RealContext, constant_id: str = "x", *, _prefix=()) -> PartialQuotients:
     """Certified partial quotients of a positive real x.
 
     Emits at most ``max_terms`` quotients; stops early (with the ``exhausted``
     flag) once the uncertainty interval around x no longer pins down the next
     quotient.  Rational inputs cannot be told apart from nearby irrationals at
     finite precision, so they also end exhausted rather than terminated.
+
+    ``_prefix`` (``expand_constant``'s retry) holds quotients of x certified at
+    fewer digits.  When both ends of the interval expand as the prefix, all of
+    it does, and the prefix is folded in at once: the endpoints are then the
+    integers the quotient-by-quotient loop reaches, so the result is the same.
     """
     if max_terms < 1:
         raise DomainError("max_terms must be positive")
@@ -121,6 +126,10 @@ def expand(x, max_terms: int, ctx: RealContext, constant_id: str = "x") -> Parti
     if lo_n < 0:
         raise DomainError("expand requires x > 0 resolved away from zero")
     terms: list[int] = []
+    if _prefix:
+        ends = _advance(lo_n, lo_d, hi_n, hi_d, _prefix, 0, len(_prefix))
+        if ends[0] > ends[1] >= 0 and ends[2] > ends[3] >= 0:  # both tails in (1, inf]
+            terms, (lo_n, lo_d, hi_n, hi_d) = list(_prefix), ends
     exhausted = _expand_interval(lo_n, lo_d, hi_n, hi_d, max_terms, terms)
     return PartialQuotients(
         constant_id=constant_id,
@@ -151,15 +160,7 @@ def _expand_interval(lo_n: int, lo_d: int, hi_n: int, hi_d: int, max_terms: int,
             s = bits // 2
             _expand_interval(lo_n >> s, (lo_d >> s) + 1, (hi_n >> s) + 1, hi_d >> s, max_terms, out)
         if len(out) > start:
-            # x = (p y + p1) / (q y + q1) over the batch; invert it exactly, and
-            # an odd batch swaps which end comes out lower
-            p, p1, q, q1 = _fold(out, start, len(out))
-            if (len(out) - start) & 1:
-                lo_n, lo_d, hi_n, hi_d = (p1 * hi_d - q1 * hi_n, q * hi_n - p * hi_d,
-                                          p1 * lo_d - q1 * lo_n, q * lo_n - p * lo_d)
-            else:
-                lo_n, lo_d, hi_n, hi_d = (q1 * lo_n - p1 * lo_d, p * lo_d - q * lo_n,
-                                          q1 * hi_n - p1 * hi_d, p * hi_d - q * hi_n)
+            lo_n, lo_d, hi_n, hi_d = _advance(lo_n, lo_d, hi_n, hi_d, out, start, len(out))
             continue
         a = lo_n // lo_d
         if a != hi_n // hi_d:
@@ -170,6 +171,14 @@ def _expand_interval(lo_n: int, lo_d: int, hi_n: int, hi_d: int, max_terms: int,
         # x -> 1/(x - a) maps [lo, hi] to [1/(hi - a), 1/(lo - a)]
         lo_n, lo_d, hi_n, hi_d = hi_d, hi_n - a * hi_d, lo_d, lo_n - a * lo_d
     return False
+
+
+def _advance(lo_n: int, lo_d: int, hi_n: int, hi_d: int, terms: Sequence[int], i: int, j: int) -> tuple:
+    """The endpoints after x -> 1/(x - a) for each a in terms[i:j]: x = (p y + p1)/(q y + q1) inverted exactly."""
+    p, p1, q, q1 = _fold(terms, i, j)
+    if (j - i) & 1:
+        return p1 * hi_d - q1 * hi_n, q * hi_n - p * hi_d, p1 * lo_d - q1 * lo_n, q * lo_n - p * lo_d
+    return q1 * lo_n - p1 * lo_d, p * lo_d - q * lo_n, q1 * hi_n - p1 * hi_d, p * hi_d - q * hi_n
 
 
 def _fold(terms: Sequence[int], i: int, j: int) -> tuple[int, int, int, int]:
@@ -194,8 +203,8 @@ def expand_constant(constant_id: str, max_terms: int, digits: int | None = None)
     """Expand a named constant at ``digits``, or at a precision auto-sized for the term count.
 
     Auto-sized precision follows a typical constant's quotient rate; when it
-    falls short, the expansion is retried once at the precision the observed
-    rate calls for.  An explicit ``digits`` is never retried.
+    falls short, one retry resumes after its terms (see ``expand``) at the
+    precision the observed rate calls for.  An explicit ``digits`` never retries.
     """
     auto = digits is None
     if auto:
@@ -203,13 +212,13 @@ def expand_constant(constant_id: str, max_terms: int, digits: int | None = None)
     pq = _expand_at(constant_id, max_terms, digits)
     if auto and len(pq.terms) < max_terms:
         got = max(len(pq.terms), 1)
-        pq = _expand_at(constant_id, max_terms, math.ceil(digits * max_terms / got) + DIGITS_MARGIN)
+        pq = _expand_at(constant_id, max_terms, math.ceil(digits * max_terms / got) + DIGITS_MARGIN, pq.terms)
     return pq
 
 
-def _expand_at(constant_id: str, max_terms: int, digits: int) -> PartialQuotients:
+def _expand_at(constant_id: str, max_terms: int, digits: int, prefix=()) -> PartialQuotients:
     ctx = make_context(max(digits, MIN_DECIMAL_DIGITS))
-    return expand(constant_value(constant_id, ctx), max_terms, ctx, constant_id=constant_id)
+    return expand(constant_value(constant_id, ctx), max_terms, ctx, constant_id=constant_id, _prefix=prefix)
 
 
 def _checked_terms(pq: PartialQuotients, count: int) -> tuple[int, ...]:

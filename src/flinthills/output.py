@@ -5,21 +5,22 @@ rendered once (default 6 significant digits, the table convention) and the
 rendered token is inserted verbatim into CSV cells and JSON values, so
 emissions of the same command are numerically identical and byte-reproducible.
 
-A table is any re-iterable row collection with ``len()``: a list, or a
-``LazyTable`` that makes its rows afresh on each pass and so is never held.
-CSV and JSON make one pass; plain makes two, the first to measure column
-widths.  Rows are written to the output one at a time.  Integers (ints and
-integral Decimals) are rendered only as their row is written; plain measures
-their column widths by digit count, so a table of huge integers is never held
-as text.  Integral Decimals print in time linear in their length and without
-Python's 4300-digit limit on int -> str; other cells that meet it print with it lifted.
+A table is a header and tuple rows: a ``LazyTable``, which makes its rows
+afresh on each pass and so is never held, or a list of dict rows, turned into
+the first row's keys and tuples once.  CSV and JSON make one pass; plain makes
+two, the first to measure column widths.  Rows are written one at a time.
+Integers (ints and integral Decimals) are rendered only as their row is
+written; plain measures their column widths by digit count, so a table of huge
+integers is never held as text.  Integral Decimals print in time linear in
+their length and without Python's 4300-digit limit on int -> str; other cells
+that meet it print with it lifted.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from collections.abc import Callable, Collection, Iterator
+from collections.abc import Callable, Collection, Iterator, Sequence
 from decimal import Decimal
 from itertools import chain, islice
 
@@ -31,6 +32,7 @@ from .mpreal import decimal_length
 FORMATS = ("plain", "csv", "json")
 DEFAULT_SIGNIFICANT_DIGITS = 6
 _INTEGERS = (int, Decimal)  # exact types: a bool renders as true/false
+_INTEGER_TYPES = frozenset(_INTEGERS)  # a row of these prints with one %-format
 _CSV_SPECIAL = (",", '"', "\r", "\n")  # a cell holding one may need csv.writer's quoting
 _LIMIT_LOCK = threading.Lock()
 _WIDTH_SLICE = 256  # rows measured at a time by plain's width pass
@@ -90,6 +92,8 @@ def _column_width(header: str, column) -> int:
 
     Integers are not rendered: the widest is the largest or the smallest.
     """
+    if _INTEGER_TYPES.issuperset(map(type, column)):
+        return max(len(header), _integer_width(max(column)), _integer_width(min(column)))
     width = max(len(header), max((len(c) for c in column if type(c) is str), default=0))
     integers = [c for c in column if type(c) is not str]
     if integers:
@@ -121,24 +125,25 @@ def _csv_row_writer(out):
 
 
 class LazyTable:
-    """A table of ``length`` rows that ``make_rows()`` makes afresh on each pass."""
+    """``length`` rows under the header ``keys``, made afresh on each pass by ``make_rows()`` as tuples."""
 
-    def __init__(self, length: int, make_rows: Callable[[], Iterator[dict]]):
+    def __init__(self, keys: Sequence[str], length: int, make_rows: Callable[[], Iterator[tuple]]):
+        self.keys = list(keys)
         self._length = length
         self._make_rows = make_rows
 
     def __len__(self) -> int:
         return self._length
 
-    def __iter__(self) -> Iterator[dict]:
+    def __iter__(self) -> Iterator[tuple]:
         return self._make_rows()
 
 
-def emit_rows(rows: Collection[dict], kind: str, significant: int, out) -> None:
-    """Write dict rows (the first row's key order) to the text stream ``out`` in the requested format.
+def emit_rows(rows: Collection, kind: str, significant: int, out) -> None:
+    """Write a table to the text stream ``out`` in the requested format.
 
-    ``rows`` is a list or a ``LazyTable``; it is iterated, never indexed.  A
-    one-shot iterator raises TypeError: plain format passes over the rows twice.
+    ``rows`` is a ``LazyTable`` or a list of dict rows (the first row's key order); it is iterated,
+    never indexed.  A one-shot iterator raises TypeError: plain format passes over the rows twice.
     """
     if kind not in FORMATS:
         raise DomainError(f"unknown output format {kind!r}; known: {', '.join(FORMATS)}")
@@ -147,34 +152,53 @@ def emit_rows(rows: Collection[dict], kind: str, significant: int, out) -> None:
         raise TypeError("emit_rows needs a list or a LazyTable, not a one-shot iterator")
     if not rows:
         return
-    first = next(it)
-    keys = list(first)
-    it = chain((first,), it)
-    if kind == "csv":
-        write = _csv_row_writer(out)
-        write(keys)
-        for row in it:
-            write([_render(row.get(k), significant, json_mode=False) for k in keys])
-        return
-    if kind == "json":
-        import json
+    if isinstance(rows, LazyTable):
+        keys = rows.keys
+    else:
+        first = next(it)
+        keys = list(first)
+        rows = [tuple(map(row.get, keys)) for row in chain((first,), it)]
+        it = iter(rows)
+    if kind != "plain":
+        # a row of ints and integral Decimals prints as one %-format of their
+        # str, which needs no csv quoting; every cell of another row is rendered
+        json_mode = kind == "json"
+        if json_mode:
+            import json
 
-        names = [json.dumps(k) for k in keys]
+            line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + "}\n"
+            write = lambda cells: out.write(line % tuple(cells))
+        else:
+            line = ",".join(["%s"] * len(keys)) + "\n"
+            write = _csv_row_writer(out)
+            write(keys)
         for row in it:
-            parts = [f"{name}: {_render(row.get(k), significant, json_mode=True)}" for name, k in zip(names, keys)]
-            out.write("{" + ", ".join(parts) + "}\n")
+            if _INTEGER_TYPES.issuperset(map(type, row)):
+                try:
+                    out.write(line % row)
+                    continue
+                except ValueError:  # an int past the int -> str limit
+                    pass
+            write([_render(v, significant, json_mode) for v in row])
         return
     # plain: space-aligned table.  The width pass renders every cell but the
     # integers and keeps that text; it measures slices of rows at a time, so
     # it holds no integer past its slice.  The write pass renders the integers.
     widths = [0] * len(keys)
     texts: list[str] = []
-    while chunk := [[v if type(v) in _INTEGERS else _render(v, significant, json_mode=False)
-                     for v in map(row.get, keys)] for row in islice(it, _WIDTH_SLICE)]:
+    while chunk := [row if _INTEGER_TYPES.issuperset(map(type, row))
+                    else [v if type(v) in _INTEGERS else _render(v, significant, False) for v in row]
+                    for row in islice(it, _WIDTH_SLICE)]:
         widths = [max(w, _column_width(k, column)) for w, k, column in zip(widths, keys, zip(*chunk))]
-        texts += [c for r in chunk for c in r if type(c) not in _INTEGERS]
+        texts += [c for r in chunk if type(r) is list for c in r if type(c) is str]
     text = iter(texts).__next__
     out.write("  ".join(k.ljust(widths[i]) for i, k in enumerate(keys)).rstrip() + "\n")
+    line = "  ".join(f"%-{w}s" for w in widths)
     for row in rows:
-        out.write("  ".join([(_render(v, significant, False) if type(v) in _INTEGERS else text()).ljust(w)
-                             for v, w in zip(map(row.get, keys), widths)]).rstrip() + "\n")
+        if not _INTEGER_TYPES.issuperset(map(type, row)):
+            row = tuple([v if type(v) in _INTEGERS else text() for v in row])
+        try:
+            text_line = line % row
+        except ValueError:  # an int past the int -> str limit
+            text_line = line % tuple([_unlimited(str, v) for v in row])
+        out.write(text_line.rstrip() + "\n")

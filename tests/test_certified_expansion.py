@@ -5,7 +5,9 @@ loop taking one exact Euclid step per quotient on the interval endpoints
 would.  That loop is kept here as the reference.
 """
 
+import dataclasses
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -161,3 +163,86 @@ def test_50k_term_expansion_pinned(constant):
     pq = fh.expand_constant(constant, 50000, digits=fh.digits_for_terms(50000))
     digest = hashlib.sha256(" ".join(map(str, pq.terms)).encode("ascii")).hexdigest()
     assert (len(pq.terms), pq.exhausted, digest) == PINS_50K[constant]
+
+
+def _top_level_starts(monkeypatch):
+    """The number of quotients already in ``out`` at each outermost ``_expand_interval`` call."""
+    starts, depth, inner = [], [0], contfrac._expand_interval
+
+    def spy(*args):
+        if not depth[0]:
+            starts.append(len(args[5]))
+        depth[0] += 1
+        try:
+            return inner(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(contfrac, "_expand_interval", spy)
+    return starts
+
+
+def _retry_from_scratch(constant, max_terms):
+    """(first try, the retry expanded from nothing at the digits ``expand_constant`` picks for it)."""
+    digits = fh.digits_for_terms(max_terms)
+    first = contfrac._expand_at(constant, max_terms, digits)
+    assert len(first.terms) < max_terms  # the size retries
+    retry_digits = math.ceil(digits * max_terms / len(first.terms)) + contfrac.DIGITS_MARGIN
+    return first, contfrac._expand_at(constant, max_terms, retry_digits)
+
+
+def _outcome(pq):
+    return pq.terms, pq.exhausted, pq.source_precision
+
+
+class TestResumedRetry:
+    """The auto-sized retry resumes after the first try's quotients and returns what a fresh retry returns."""
+
+    @pytest.mark.parametrize("constant, max_terms", [("sqrt5", n) for n in (500, 777, 1000, 1500, 2000)]
+                             + [("cbrt2", 32000)])
+    def test_same_as_a_fresh_retry(self, constant, max_terms, monkeypatch):
+        first, fresh = _retry_from_scratch(constant, max_terms)
+        starts = _top_level_starts(monkeypatch)
+        assert _outcome(fh.expand_constant(constant, max_terms)) == _outcome(fresh)
+        assert starts == [0, len(first.terms)]  # the retry began after the first try's quotients
+
+    @pytest.mark.parametrize("spoil", ["last-term", "other-constant"])
+    def test_prefix_that_does_not_fit_is_expanded_afresh(self, spoil, monkeypatch):
+        first, fresh = _retry_from_scratch("sqrt5", 1000)
+        if spoil == "last-term":
+            spoiled = first.terms[:-1] + (first.terms[-1] + 1,)
+        else:
+            spoiled = fh.expand_constant("sqrt3", len(first.terms)).terms
+        expand_at = contfrac._expand_at
+
+        def spoiled_first_try(constant_id, max_terms, digits, prefix=()):
+            pq = expand_at(constant_id, max_terms, digits, prefix)
+            return pq if prefix else dataclasses.replace(pq, terms=spoiled)
+
+        monkeypatch.setattr(contfrac, "_expand_at", spoiled_first_try)
+        starts = _top_level_starts(monkeypatch)
+        assert _outcome(fh.expand_constant("sqrt5", 1000)) == _outcome(fresh)
+        assert starts == [0, 0]
+
+    @given(radicand=st.integers(2, 10**6).filter(lambda r: math.isqrt(r) ** 2 != r),
+           digits=st.integers(60, 400), more=st.integers(0, 200), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_prefix_of_a_coarser_expansion(self, radicand, digits, more, data):
+        coarse = fh.make_context(digits)
+        prefix = fh.expand(coarse._mp.sqrt(radicand), 10**6, coarse).terms
+        prefix = prefix[:data.draw(st.integers(1, len(prefix)))]
+        if data.draw(st.booleans()):  # a prefix whose interval the finer one does not lie in
+            prefix = prefix[:-1] + (prefix[-1] + data.draw(st.sampled_from((-1, 1, 5))),)
+        ctx = fh.make_context(digits + more)
+        x = ctx._mp.sqrt(radicand)
+        resumed = contfrac.expand(x, len(prefix) + 50, ctx, _prefix=prefix)
+        assert resumed == fh.expand(x, len(prefix) + 50, ctx)
+        assert (list(resumed.terms), resumed.exhausted) == reference_expand(x, len(prefix) + 50, ctx)
+
+
+def test_cbrt2_32k_terms_pinned():
+    """sha256 of cbrt2's 32,000 auto-sized terms, recorded when the retry still started from nothing."""
+    pq = fh.expand_constant("cbrt2", 32000)
+    digest = hashlib.sha256(" ".join(map(str, pq.terms)).encode("ascii")).hexdigest()
+    assert (len(pq.terms), pq.exhausted, pq.source_precision, digest) == (
+        32000, False, 33206, "5cd1b2f146517779afd5e39d9bc5c30bf19cd65296674cc38bfaf087bf20a62d")

@@ -549,6 +549,35 @@ class TestExpandAndCache:
         assert capsys.readouterr().err == f"warning: ignoring cache entry {path}: not a cache file\n"
 
 
+    @given(st.lists(st.integers(0, 10**30), max_size=40), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_digest_is_hashlib_sha256(self, terms, forced_fallback):
+        import hashlib
+
+        from flinthills import cache
+
+        payload = cache._payload(terms)
+        with mock.patch.dict(sys.modules, {"_sha2": None, "_sha256": None} if forced_fallback else {}):
+            assert cache._digest(payload) == hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+    def test_cache_round_trip_loads_no_hashlib(self, tmp_path):
+        import importlib.util
+
+        if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+            pytest.skip("this interpreter has no built-in SHA-256 module")
+        code = (
+            "import sys\n"
+            "from flinthills.cli import run\n"
+            "run(['expand', '--terms', '30', '--cache-write'])\n"
+            "run(['convergents', '--terms', '20', '--cache-read'])\n"
+            "print('hashlib' in sys.modules, file=sys.stderr)\n"
+        )
+        env = {**cold_env(), "FLINTHILLS_CACHE_DIR": str(tmp_path)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "False\n")
+        assert (tmp_path / "pi.cfcache").exists()
+
+
 # Runs the CLI on argv[2:] and, at exit, writes its own peak RSS in kB (VmHWM) to argv[1]
 # where /proc is there.  ru_maxrss would not do: Linux folds the parent's high-water mark
 # into a child's at exec, and the pytest process may be past the bound itself.

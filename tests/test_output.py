@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import sys
 import threading
 import time
@@ -21,11 +22,13 @@ from conftest import unlimited_int_str
 def _lazy(rows):
     """A LazyTable of fresh copies of ``rows``, which counts its passes."""
 
+    keys = list(rows[0]) if rows else []
+
     def make_rows():
         table.passes += 1
-        return (dict(row) for row in rows)
+        return (tuple(map(row.get, keys)) for row in rows)
 
-    table = LazyTable(len(rows), make_rows)
+    table = LazyTable(keys, len(rows), make_rows)
     table.passes = 0
     return table
 
@@ -120,7 +123,7 @@ class TestStreaming:
         def make_rows():
             for n in range(5):
                 made.append(n)
-                yield {"n": n}
+                yield (n,)
 
         class _Stop(Exception):
             pass
@@ -132,7 +135,7 @@ class TestStreaming:
                 return super().write(text)
 
         with pytest.raises(_Stop):
-            emit_rows(LazyTable(5, make_rows), "csv", 6, _StopAfterTwoRows())
+            emit_rows(LazyTable(["n"], 5, make_rows), "csv", 6, _StopAfterTwoRows())
         assert made == [0, 1, 2]
 
 
@@ -183,6 +186,56 @@ class TestLazyTables:
     def test_one_row(self, kind):
         rows = [{"n": 1, "p": -Decimal(10**4500 + 7), "s": 'a,"b"\nc', "x": mpmath.mpf(1) / 3, "b": True, "z": None}]
         assert _emitted(_lazy(rows), kind) == _emitted(rows, kind)
+
+
+class TestTupleRows:
+    """A tuple-row LazyTable, the same rows as dicts, and the cell-by-cell rendering print the same bytes."""
+
+    _HUGE = st.builds(lambda k, d, s: s * (10**k + d), st.integers(4295, 4305), st.integers(-2, 1),
+                      st.sampled_from((1, -1)))
+    _CELLS = st.one_of(
+        st.integers(), _HUGE, st.builds(Decimal, st.integers()), st.builds(Decimal, _HUGE),
+        st.booleans(), st.none(), st.text(alphabet=st.sampled_from('a1 ,"\r\n%'), max_size=5),
+        st.floats(allow_nan=False), st.builds(mpmath.mpf, st.floats(allow_nan=False)),
+        st.builds(lambda n: MPContext().mpf(n) / 7, st.integers(-10**40, 10**40)),
+    )
+
+    @staticmethod
+    def _reference(rows, kind, significant):
+        """Every cell through ``_render``, then csv.writer, a JSON record or padded columns."""
+        if kind == "plain":
+            return _plain_reference(rows, significant)
+        keys, buf = list(rows[0]), io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        if kind == "csv":
+            writer.writerow(keys)
+        for row in rows:
+            cells = [_render(row[k], significant, json_mode=kind == "json") for k in keys]
+            if kind == "csv":
+                writer.writerow(cells)
+            else:
+                buf.write("{" + ", ".join(f"{json.dumps(k)}: {c}" for k, c in zip(keys, cells)) + "}\n")
+        return buf.getvalue()
+
+    @given(keys=st.lists(st.sampled_from(["n", "p", "a,b", 'say "x"', "100%", "%s"]), min_size=1, max_size=4,
+                         unique=True),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_three_ways_print_the_same(self, keys, data):
+        drawn = data.draw(st.lists(st.fixed_dictionaries({k: self._CELLS for k in keys}), min_size=1, max_size=6))
+        rows = [{k: row[k] for k in keys} for row in drawn]
+        table = LazyTable(keys, len(rows), lambda: (tuple(row[k] for k in keys) for row in rows))
+        for kind in ("plain", "csv", "json"):
+            for significant in (6, 30):  # the table default and --full's digits
+                expected = self._reference(rows, kind, significant)
+                assert _emitted(table, kind, significant) == _emitted(rows, kind, significant) == expected
+
+    @pytest.mark.parametrize("kind", ["plain", "csv", "json"])
+    def test_edges(self, kind):
+        assert _emitted(LazyTable(["n", "p"], 0, lambda: iter(())), kind) == _emitted([], kind) == ""
+        for cell in ("", None):  # csv quotes a row that is one empty cell
+            lazy = _emitted(LazyTable(["s"], 2, lambda c=cell: iter([(c,), (7,)])), kind)
+            assert lazy == _emitted([{"s": cell}, {"s": 7}], kind) == self._reference([{"s": cell}, {"s": 7}], kind, 6)
 
 
 def _huge_mantissa():
