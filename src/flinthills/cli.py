@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import operator
 import os
 import sys
 from pathlib import Path
@@ -117,9 +118,18 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return ap
 
 
-def _rows(records, **rename) -> list[dict]:
+def _table(keys, rows) -> LazyTable:
+    """The tuples ``rows`` under the header ``keys``."""
+    return LazyTable(keys, len(rows), rows.__iter__)
+
+
+def _records(records, **rename) -> LazyTable:
     """One row per result record: its fields in declaration order, some renamed."""
-    return [{rename.get(k, k): v for k, v in vars(r).items()} for r in records]
+    if not records:
+        return _table((), ())
+    names = list(vars(records[0]))
+    row = operator.attrgetter(*names)
+    return LazyTable([rename.get(k, k) for k in names], len(records), lambda: map(row, records))
 
 
 def _emit(out, args, rows, digits: int) -> int:
@@ -183,12 +193,12 @@ def _cmd_convergents(args, out):
 def _cmd_measure(args, out):
     ctx = make_context(max(args.digits, contfrac.digits_for_terms(args.terms)))
     points = diophantine.measure_table(args.constant, args.terms, ctx)
-    return _emit(out, args, _rows(points, index="n"), ctx.decimal_digits)
+    return _emit(out, args, _records(points, index="n"), ctx.decimal_digits)
 
 
 def _cmd_audit(args, out):
     report = diophantine.inequality_audit(args.constant, (args.start, args.n_max), make_context(args.digits))
-    _emit(out, args, _rows(report.rows, index="n"), args.digits)
+    _emit(out, args, _records(report.rows, index="n"), args.digits)
     print(
         f"dirichlet_ok={report.all_dirichlet_ok} shifted_ok={report.all_shifted_ok} "
         f"hurwitz_count={report.hurwitz_count}/{len(report.rows)}",
@@ -203,7 +213,7 @@ def _cmd_kernel(args, out):
         if args.d is None:
             raise FlintHillsError("--d is required for --type cf")
         table = kernels.cf_technique_check(args.d, args.m_max, ctx)
-        return _emit(out, args, _rows(table, index="m"), args.digits)
+        return _emit(out, args, _records(table, index="m"), args.digits)
     if args.x is None or args.z is None:
         raise FlintHillsError("--x and --z are required for kernel evaluation")
     x = kernels.exact_decimal(args.x, "--x")
@@ -211,8 +221,8 @@ def _cmd_kernel(args, out):
         x = int(x)
     z = kernels.exact_decimal(args.z, "--z")
     result = (kernels.dirichlet_kernel if args.type == "dirichlet" else kernels.fejer_kernel)(x, z, ctx)
-    rows = [{"kernel": args.type} | row for row in _rows([result], x_param="x")]
-    return _emit(out, args, rows, args.digits)
+    fields = _records([result], x_param="x")
+    return _emit(out, args, _table(["kernel", *fields.keys], [(args.type, *row) for row in fields]), args.digits)
 
 
 def _cmd_shift(args, out):
@@ -221,17 +231,17 @@ def _cmd_shift(args, out):
         table = kernels.recip_sin_bound_integer_technique(args.n_max, ctx)
     else:
         table = kernels.recip_sin_bound_real_technique(args.n_max, ctx)
-    return _emit(out, args, _rows(table, index="n"), args.digits)
+    return _emit(out, args, _records(table, index="n"), args.digits)
 
 
 def _cmd_recip_sin(args, out):
     table = series.recip_sin_table(args.n_max, make_context(args.digits))
-    return _emit(out, args, _rows(table, index="n"), args.digits)
+    return _emit(out, args, _records(table, index="n"), args.digits)
 
 
 def _cmd_gamma_reflect(args, out):
     table = series.gamma_reflection_table(args.n_max, make_context(args.digits))
-    return _emit(out, args, _rows(table, index="n"), args.digits)
+    return _emit(out, args, _records(table, index="n"), args.digits)
 
 
 def _checkpoints(points: str) -> list[int]:
@@ -253,26 +263,15 @@ def _cmd_series(args, out):
                              variant=args.arg, limit=checkpoints[-1] if checkpoints else args.limit)
     if args.report and not checkpoints:
         diagnostics = series.convergence_report(spec, ctx, measure=args.measure)
-        rows = _rows([diagnostics], last_decade_relative_change="relative_change")
+        rows = _records([diagnostics], last_decade_relative_change="relative_change")
         return _emit(out, args, rows, args.digits)
     result = series.partial_sum(spec, ctx, checkpoints)
     if checkpoints:
-        rows = [{"x": x, "partial_sum": value} for x, value in result.checkpoints]
-        return _emit(out, args, rows, args.digits)
-    largest_idx, largest = result.largest_term if result.largest_term else (None, None)
-    rows = [
-        {
-            "family": family,
-            "u": args.u,
-            "v": args.v,
-            "limit": result.x,
-            "value": result.value,
-            "largest_term_index": largest_idx,
-            "largest_term": largest,
-            "compensation_residual": result.compensation_residual,
-        }
-    ]
-    return _emit(out, args, rows, args.digits)
+        return _emit(out, args, _table(("x", "partial_sum"), result.checkpoints), args.digits)
+    header = ("family", "u", "v", "limit", "value", "largest_term_index", "largest_term", "compensation_residual")
+    largest = result.largest_term or (None, None)
+    row = (family, args.u, args.v, result.x, result.value, *largest, result.compensation_residual)
+    return _emit(out, args, _table(header, [row]), args.digits)
 
 
 def _cmd_stats(args, out):
@@ -280,31 +279,22 @@ def _cmd_stats(args, out):
     ctx = make_context(30)
     histogram = stats.quotient_histogram(pq, args.terms)
     if args.histogram:
-        rows = [
-            {
-                "value": k if k != -1 else f">{stats.HISTOGRAM_OVERFLOW}",
-                "count": v,
-                "frequency": ctx.mpf(v) / args.terms,
-                "gauss_kuzmin": histogram.gk_expected.get(k),
-            }
-            for k, v in sorted(histogram.histogram.items(), key=lambda kv: (kv[0] == -1, kv[0]))
-        ]
-        return _emit(out, args, rows, ctx.decimal_digits)
-    gm10 = stats.running_geometric_mean(pq, min(10, args.terms))
-    gm20 = stats.running_geometric_mean(pq, min(20, args.terms))
-    gmn = stats.running_geometric_mean(pq, args.terms)
+        rows = [(k if k != -1 else f">{stats.HISTOGRAM_OVERFLOW}", v, ctx.mpf(v) / args.terms,
+                 histogram.gk_expected.get(k))
+                for k, v in sorted(histogram.histogram.items(), key=lambda kv: (kv[0] == -1, kv[0]))]
+        return _emit(out, args, _table(("value", "count", "frequency", "gauss_kuzmin"), rows), ctx.decimal_digits)
     rows = [
-        {"statistic": "terms", "value": args.terms},
-        {"statistic": "geometric_mean_10", "value": gm10},
-        {"statistic": "geometric_mean_20", "value": gm20},
-        {"statistic": f"geometric_mean_{args.terms}", "value": gmn},
-        {"statistic": "geometric_mean_proper", "value": histogram.geometric_mean},
-        {"statistic": "max_term_position", "value": histogram.max_term[0]},
-        {"statistic": "max_term_value", "value": histogram.max_term[1]},
-        {"statistic": "freq_1_plus_2", "value": histogram.freq_low},
-        {"statistic": "gk_1_plus_2", "value": stats.gauss_kuzmin_p(1) + stats.gauss_kuzmin_p(2)},
+        ("terms", args.terms),
+        ("geometric_mean_10", stats.running_geometric_mean(pq, min(10, args.terms))),
+        ("geometric_mean_20", stats.running_geometric_mean(pq, min(20, args.terms))),
+        (f"geometric_mean_{args.terms}", stats.running_geometric_mean(pq, args.terms)),
+        ("geometric_mean_proper", histogram.geometric_mean),
+        ("max_term_position", histogram.max_term[0]),
+        ("max_term_value", histogram.max_term[1]),
+        ("freq_1_plus_2", histogram.freq_low),
+        ("gk_1_plus_2", stats.gauss_kuzmin_p(1) + stats.gauss_kuzmin_p(2)),
     ]
-    return _emit(out, args, rows, ctx.decimal_digits)
+    return _emit(out, args, _table(("statistic", "value"), rows), ctx.decimal_digits)
 
 
 def _cmd_verify(args, out):
@@ -316,19 +306,9 @@ def _cmd_verify(args, out):
     if args.sequence == "lacunary":  # the record indices of A046947 start at n = 1
         seq = itertools.chain((1,), seq)
     report = contfrac.verify_fixture(seq, fixture, index_offset=offset)
-    rows = [
-        {
-            "fixture": report.fixture_path,
-            "compared": report.compared,
-            "mismatches": len(report.mismatches),
-            "passed": report.passed,
-        }
-    ]
-    rows += [
-        {"fixture": f"index {idx}", "compared": expected, "mismatches": got, "passed": False}
-        for idx, expected, got in report.mismatches
-    ]
-    _emit(out, args, rows, 30)
+    rows = [(report.fixture_path, report.compared, len(report.mismatches), report.passed)]
+    rows += [(f"index {idx}", expected, got, False) for idx, expected, got in report.mismatches]
+    _emit(out, args, _table(("fixture", "compared", "mismatches", "passed"), rows), 30)
     return 0 if report.passed else 1
 
 

@@ -109,7 +109,7 @@ def measure_table(alpha, n_max: int, ctx: RealContext | None = None) -> list[Mea
 def inequality_audit(alpha, n_range, ctx: RealContext | None = None) -> AuditReport:
     """Per-row audit of the approximation inequalities over convergent rows.
 
-    ``n_range`` is an inclusive (start, stop) pair of table row numbers, or a
+    ``n_range`` is an inclusive (start, stop) pair of table row numbers, or
     a bare stop meaning (1, stop).  Checked per row n:
 
     * 1/(2 q_{n+1} q_n) <= |alpha - p_n/q_n| <= 1/q_n^2

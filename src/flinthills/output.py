@@ -5,10 +5,9 @@ rendered once (default 6 significant digits, the table convention) and the
 rendered token is inserted verbatim into CSV cells and JSON values, so
 emissions of the same command are numerically identical and byte-reproducible.
 
-A table is a header and tuple rows: a ``LazyTable``, which makes its rows
-afresh on each pass and so is never held, or a list of dict rows, turned into
-the first row's keys and tuples once.  CSV and JSON make one pass; plain makes
-two, the first to measure column widths.  Rows are written one at a time.
+A table is a ``LazyTable``: a header and tuple rows, made afresh on each pass
+so that they need not be held.  CSV and JSON make one pass; plain makes two,
+the first to measure column widths.  Rows are written one at a time.
 Integers (ints and integral Decimals) are rendered only as their row is
 written; plain measures their column widths by digit count, so a table of huge
 integers is never held as text.  Integral Decimals print in time linear in
@@ -20,9 +19,9 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections.abc import Callable, Collection, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from decimal import Decimal
-from itertools import chain, islice
+from itertools import islice
 
 import mpmath
 
@@ -33,6 +32,7 @@ FORMATS = ("plain", "csv", "json")
 DEFAULT_SIGNIFICANT_DIGITS = 6
 _INTEGERS = (int, Decimal)  # exact types: a bool renders as true/false
 _INTEGER_TYPES = frozenset(_INTEGERS)  # a row of these prints with one %-format
+_UNIT = Decimal(1)  # the same quantum as this is exponent 0: str prints every digit, no point or exponent
 _CSV_SPECIAL = (",", '"', "\r", "\n")  # a cell holding one may need csv.writer's quoting
 _LIMIT_LOCK = threading.Lock()
 _WIDTH_SLICE = 256  # rows measured at a time by plain's width pass
@@ -90,9 +90,13 @@ def _integer_width(n) -> int:
 def _column_width(header: str, column) -> int:
     """Width of a plain column of rendered text and integers.
 
-    Integers are not rendered: the widest is the largest or the smallest.
+    Integers are not rendered: the widest is the largest or the smallest.  A
+    Decimal off exponent 0 (1E+5, 2.50) prints in that form: its column is measured as text.
     """
-    if _INTEGER_TYPES.issuperset(map(type, column)):
+    types = set(map(type, column))
+    if Decimal in types and not all(c.same_quantum(_UNIT) for c in column if type(c) is Decimal):
+        return max(len(header), *(len(c if type(c) is str else _unlimited(str, c)) for c in column))
+    if _INTEGER_TYPES.issuperset(types):
         return max(len(header), _integer_width(max(column)), _integer_width(min(column)))
     width = max(len(header), max((len(c) for c in column if type(c) is str), default=0))
     integers = [c for c in column if type(c) is not str]
@@ -139,26 +143,19 @@ class LazyTable:
         return self._make_rows()
 
 
-def emit_rows(rows: Collection, kind: str, significant: int, out) -> None:
+def emit_rows(rows: LazyTable, kind: str, significant: int, out) -> None:
     """Write a table to the text stream ``out`` in the requested format.
 
-    ``rows`` is a ``LazyTable`` or a list of dict rows (the first row's key order); it is iterated,
-    never indexed.  A one-shot iterator raises TypeError: plain format passes over the rows twice.
+    Anything but a ``LazyTable`` raises TypeError: a one-shot iterator would
+    lose its rows to plain format's first pass.
     """
     if kind not in FORMATS:
         raise DomainError(f"unknown output format {kind!r}; known: {', '.join(FORMATS)}")
-    it = iter(rows)
-    if it is rows:
-        raise TypeError("emit_rows needs a list or a LazyTable, not a one-shot iterator")
+    if not isinstance(rows, LazyTable):
+        raise TypeError(f"emit_rows needs a LazyTable, not {type(rows).__name__}")
     if not rows:
         return
-    if isinstance(rows, LazyTable):
-        keys = rows.keys
-    else:
-        first = next(it)
-        keys = list(first)
-        rows = [tuple(map(row.get, keys)) for row in chain((first,), it)]
-        it = iter(rows)
+    keys = rows.keys
     if kind != "plain":
         # a row of ints and integral Decimals prints as one %-format of their
         # str, which needs no csv quoting; every cell of another row is rendered
@@ -172,7 +169,7 @@ def emit_rows(rows: Collection, kind: str, significant: int, out) -> None:
             line = ",".join(["%s"] * len(keys)) + "\n"
             write = _csv_row_writer(out)
             write(keys)
-        for row in it:
+        for row in rows:
             if _INTEGER_TYPES.issuperset(map(type, row)):
                 try:
                     out.write(line % row)
@@ -186,6 +183,7 @@ def emit_rows(rows: Collection, kind: str, significant: int, out) -> None:
     # it holds no integer past its slice.  The write pass renders the integers.
     widths = [0] * len(keys)
     texts: list[str] = []
+    it = iter(rows)
     while chunk := [row if _INTEGER_TYPES.issuperset(map(type, row))
                     else [v if type(v) in _INTEGERS else _render(v, significant, False) for v in row]
                     for row in islice(it, _WIDTH_SLICE)]:
