@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
+from flinthills.cli import _table
 from flinthills.output import LazyTable, _integer_width, _render, _unlimited, emit_rows
 
 from conftest import unlimited_int_str
@@ -31,6 +32,15 @@ def _lazy(rows):
     table = LazyTable(keys, len(rows), make_rows)
     table.passes = 0
     return table
+
+
+def _listed(rows):
+    """The CLI's table over a list of tuples: the same rows, made into tuples once and replayed each pass."""
+    keys = list(rows[0]) if rows else []
+    return _table(keys, [tuple(map(row.get, keys)) for row in rows])
+
+
+_TABLES = pytest.mark.parametrize("make_table", [_listed, _lazy], ids=["list", "lazy"])
 
 
 def _emitted(rows, kind, significant=6):
@@ -101,11 +111,12 @@ class TestStreaming:
             self.writes += 1
             return super().write(text)
 
+    @_TABLES
     @pytest.mark.parametrize("kind", ["plain", "csv", "json"])
-    def test_one_write_per_row(self, kind):
+    def test_one_write_per_row(self, kind, make_table):
         rows = [{"n": n, "p": Decimal(3 * n)} for n in range(50)]
         out = self._Recorder()
-        emit_rows(_lazy(rows), kind, 6, out)
+        emit_rows(make_table(rows), kind, 6, out)
         assert out.writes == len(rows) + (kind != "json")  # plus the header line
 
     @pytest.mark.parametrize("kind", ["plain", "csv", "json"])
@@ -256,16 +267,17 @@ def _huge_mantissa():
 
 
 class TestPastTheIntStrLimit:
+    @_TABLES
     @pytest.mark.parametrize("kind", ["plain", "csv", "json"])
     @pytest.mark.parametrize("value, convert", [(10**5000 + 1, str), (_huge_mantissa(), lambda v: mpmath.nstr(v, 6))],
                              ids=["int", "mpf"])
-    def test_prints_what_the_unlimited_conversion_prints(self, value, convert, kind):
+    def test_prints_what_the_unlimited_conversion_prints(self, value, convert, kind, make_table):
         with pytest.raises(ValueError):
             convert(value)
         with unlimited_int_str():
             text = convert(value)
         rows = [{"p": value}]
-        assert _emitted(_lazy(rows), kind) == ('{"p": %s}\n' % text if kind == "json" else f"p\n{text}\n")
+        assert _emitted(make_table(rows), kind) == ('{"p": %s}\n' % text if kind == "json" else f"p\n{text}\n")
 
     def test_overlapping_retries_restore_the_limit(self):
         # the second retry starts while the first has the limit lifted; it must not save and restore that lifted value
