@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import threading
 from pathlib import Path
 
@@ -354,6 +355,37 @@ _MAGNITUDES = range(-7, 3)  # mag of the arguments analysed: 2**-8 <= |x| < 4
 def _mpmath_analysed(version: str) -> bool:
     """True for the mpmath releases whose sine the bounds below were read from (1.3.x)."""
     return version.split(".")[:2] == ["1", "3"]
+
+
+def _bitcount(n: int) -> int:
+    """Bits of n for n > 0, else 0: what mpmath's ``python_bitcount`` returns, from C."""
+    return n.bit_length() if n > 0 else 0
+
+
+def _rebind_python_bitcount() -> None:
+    """Bind _bitcount to every name in mpmath 1.3's modules that holds ``python_bitcount``.
+
+    On its Python backend mpmath normalizes every result through
+    ``libintmath.python_bitcount``, a bisect over powers of two with a
+    ``math.log`` fallback above 300 bits.  It returns 0 for n <= 0 and the
+    exact bit length for n > 0, as _bitcount does, so every result keeps its
+    bits, also in a thread that is inside mpmath while the names change; a
+    bare ``int.bit_length`` would differ on negative n.  Names are
+    found by identity: under gmpy2 or sage, or on another mpmath release,
+    nothing is touched.  ``libintmath.python_bitcount`` itself stays bound, as
+    the reference the tests compare against.
+    """
+    if not (_mpmath_analysed(mpmath.__version__) and mpmath.libmp.BACKEND == "python"):
+        return
+    slow = mpmath.libmp.libintmath.python_bitcount
+    for name, module in list(sys.modules.items()):
+        if name == "mpmath" or name.startswith("mpmath."):
+            for attr, value in list(vars(module).items()):
+                if value is slow and attr != "python_bitcount":
+                    setattr(module, attr, _bitcount)
+
+
+_rebind_python_bitcount()
 
 
 def _cos_sin_error(p: int) -> int:

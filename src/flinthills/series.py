@@ -228,15 +228,17 @@ def _pi_powers(scale_digits: int):
     and n * 0.49715 >= n * log10(pi), so those digits absorb all but one
     digit of the pi^(n-1) growth; 8 more absorb that digit and the 2n + 1 for
     any n below 10^7.  While n - 1 and n share k, acc_n is acc_(n-1) * p // s,
-    one multiplication; a new k restarts the chain from s * p // s = p.
+    one multiplication; a new k restarts the chain from s * p // s = p.  The
+    floor division by s = 2^k 5^k is a shift by k and a floor division by 5^k,
+    since floor(floor(y/a)/b) = floor(y/(ab)) for y >= 0 and positive a, b.
     """
     red = None
     for n in itertools.count(1):
         k, steps = scale_digits + (n * 49715) // 100000 + 8, 1
         if k != red:
-            red, s, p, acc, steps = k, 10**k, pi_scaled(k), 10**k, n
+            red, s, f, p, acc, steps = k, 10**k, 5**k, pi_scaled(k), 10**k, n
         for _ in range(steps):
-            acc = acc * p // s
+            acc = (acc * p >> k) // f
         yield acc, s
 
 

@@ -12,12 +12,14 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
 import flinthills
+from flinthills import mpreal
 from flinthills.cli import run
 
 from conftest import unlimited_int_str
@@ -742,3 +744,47 @@ class TestColdImports:
         proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
                               timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "[]\n")
+
+
+# Runs the CLI on each argv of argv[2], a repr'd list, and prints each stdout.  With argv[1] ==
+# "python_bitcount" it first binds mpmath's own python_bitcount back into every name that mpreal
+# bound to its C-backed count.  Its first line of stderr names the count libmpf normalizes with.
+_CLI_OUTPUTS = """
+import ast, io, sys
+import mpmath
+from flinthills import mpreal
+from flinthills.cli import run
+if sys.argv[1] == "python_bitcount":
+    slow = mpmath.libmp.libintmath.python_bitcount
+    for name, module in list(sys.modules.items()):
+        if name == "mpmath" or name.startswith("mpmath."):
+            for attr, value in list(vars(module).items()):
+                if value is mpreal._bitcount:
+                    setattr(module, attr, slow)
+print(mpmath.libmp.libmpf.bitcount.__name__, file=sys.stderr)
+for argv in ast.literal_eval(sys.argv[2]):
+    out = io.StringIO()
+    assert run(argv, out=out) == 0, argv
+    print(out.getvalue())
+"""
+
+
+@pytest.mark.skipif(mpmath.libmp.BACKEND != "python" or not mpreal._mpmath_analysed(mpmath.__version__),
+                    reason="the bit count is rebound only on mpmath 1.3's Python backend")
+def test_rebound_bitcount_prints_the_same_bits():
+    argvs = [
+        ["series", "flint", "--limit", "3000", "--points", "1,355,3000", "--full"],
+        ["series", "alpha-pi", "--alpha", "golden", "--limit", "2000", "--full"],
+        ["series", "flat-power", "--u", "2", "--v", "1", "--limit", "300", "--full"],
+        ["kernel", "--type", "dirichlet", "--x", "3000", "--z", "1.3", "--digits", "120", "--full"],
+        ["gamma-reflect", "--n-max", "20", "--full"],
+        ["audit", "--n-max", "300", "--full"],
+    ]
+    procs = {count: subprocess.Popen([sys.executable, "-c", _CLI_OUTPUTS, count, repr(argvs)], env=cold_env(),
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for count in ("_bitcount", "python_bitcount")}
+    stdout = {}
+    for count, proc in procs.items():
+        stdout[count], err = proc.communicate(timeout=120)
+        assert (proc.returncode, err.splitlines()[0]) == (0, count)
+    assert stdout["_bitcount"] == stdout["python_bitcount"]

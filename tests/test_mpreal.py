@@ -1,15 +1,18 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import libintmath
 
 import flinthills as fh
-from flinthills.mpreal import pi_scaled, sincos_pi_rational_plus_int
+from flinthills.mpreal import _bitcount, _mpmath_analysed, pi_scaled, sincos_pi_rational_plus_int
 
 
 def bundled_pi_digits() -> str:
@@ -294,3 +297,35 @@ class TestShiftedArgumentReduction:
         s, c = sincos_pi_rational_plus_int(w, 2, 0, ctx50)
         assert abs(abs(s) - 1) < ctx50.mpf(10) ** (-80)
         assert abs(c) < ctx50.mpf(10) ** (-80)
+
+
+_NEAR_POWERS_OF_TWO = st.integers(0, 5000).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1]))
+_RANDOM_INTS = st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits), st.integers(1, 10**5),
+                         st.integers(0, 2**32))
+
+
+class TestBitcount:
+    """On mpmath 1.3's Python backend, mpreal binds _bitcount where mpmath bound python_bitcount."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(max_value=0), _NEAR_POWERS_OF_TWO, _RANDOM_INTS, _RANDOM_INTS.map(lambda n: -n)))
+    def test_equals_python_bitcount(self, n):
+        assert _bitcount(n) == libintmath.python_bitcount(n)
+
+    def test_bindings(self):
+        def bound_to(fn):
+            return {(name, attr) for name, module in list(sys.modules.items())
+                    if name == "mpmath" or name.startswith("mpmath.")
+                    for attr, value in vars(module).items() if value is fn}
+
+        if mpmath.libmp.BACKEND == "python" and _mpmath_analysed(mpmath.__version__):
+            assert bound_to(libintmath.python_bitcount) == {("mpmath.libmp.libintmath", "python_bitcount")}
+            modules = ("ctx_mp", "ctx_mp_python", "rational", "libmp", "libmp.libintmath", "libmp.libmpf",
+                       "libmp.libelefun", "libmp.libhyper", "libmp.gammazeta", "libmp.libmpc", "libmp.libmpi")
+            assert bound_to(_bitcount) == {(f"mpmath.{m}", "bitcount") for m in modules}
+        else:
+            # what mpmath bound: the backend's count, re-exported by every module
+            assert not bound_to(_bitcount)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("mpmath.") and "bitcount" in vars(module):
+                    assert module.bitcount is libintmath.bitcount, name

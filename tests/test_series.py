@@ -262,6 +262,24 @@ class TestFlatHills:
         carried = list(itertools.islice(_pi_powers(eff), 300))
         assert carried == [reference_pi_power_scaled(n, eff) for n in range(1, 301)]
 
+    @pytest.mark.parametrize("scale_digits", (70, 190))
+    def test_pi_powers_equal_the_decimal_floor_chain(self, scale_digits):
+        # the chain carried with one floor division by s = 10**k per step
+        from flinthills.mpreal import pi_scaled
+        from flinthills.series import _pi_powers
+
+        def decimal_chain():
+            red = None
+            for n in itertools.count(1):
+                k, steps = scale_digits + (n * 49715) // 100000 + 8, 1
+                if k != red:
+                    red, s, p, acc, steps = k, 10**k, pi_scaled(k), 10**k, n
+                for _ in range(steps):
+                    acc = acc * p // s
+                yield acc, s
+
+        assert list(itertools.islice(_pi_powers(scale_digits), 600)) == list(itertools.islice(decimal_chain(), 600))
+
     def test_scaled_fractional_parts(self, ctx50):
         r = fh.partial_sum(flat_spec("flat_scaled", "frac", 2, 1, 2), ctx50)
         f1 = 10 * math.pi - 31
